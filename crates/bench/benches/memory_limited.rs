@@ -3,18 +3,18 @@
 //! disk spills for the uncompressed structure.
 
 use gogreen_bench::BenchGroup;
+use gogreen_core::engine::{Engine, Family};
 use gogreen_core::{Compressor, Strategy};
 use gogreen_data::CountSink;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
-use gogreen_storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
+use gogreen_storage::{LimitedHMine, LimitedRecycledHMine, MemoryBudget};
 
 fn main() {
     let mut group = BenchGroup::new("memory_limited");
     group.sample_size(10);
     let preset = DatasetPreset::new(PresetKind::Connect4, 0.01);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Engine::new(Family::Hm).mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = preset.sweep()[2];
     for budget_kib in [64usize, 512] {
@@ -27,7 +27,7 @@ fn main() {
         });
         group.bench("HM-MCP", &param, || {
             let mut sink = CountSink::new();
-            LimitedRecycleHm::new(budget).mine_into(&cdb, xi_new, &mut sink).unwrap();
+            LimitedRecycledHMine::new(budget).mine_into(&cdb, xi_new, &mut sink).unwrap();
             sink.count()
         });
     }

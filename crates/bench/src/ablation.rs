@@ -12,21 +12,22 @@
 //!    database mined after each update batch, recycling the previous
 //!    round's patterns, against from-scratch re-mining.
 
+use gogreen_core::engine::{Engine, EngineOpts, Family, VtRepr};
 use gogreen_core::incremental::IncrementalMiner;
-use gogreen_core::recycle_vt::RecycleVt;
 use gogreen_core::rpmine::RpMine;
 use gogreen_core::twostep::TwoStepMiner;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::{CountSink, MinSupport};
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::engine::vt::VtRepr;
-use gogreen_miners::{mine_hmine, Eclat, Miner};
 use gogreen_obs::metrics;
 use gogreen_util::pool::Parallelism;
 use gogreen_util::{Json, ToJson};
 use std::time::Instant;
 
-use crate::algo::AlgoFamily;
+use crate::algo::{timed_mine, PAPER_FAMILIES};
+
+/// H-Mine mines every experiment's recycled fodder and scratch baselines.
+const HM: Engine = Engine::new(Family::Hm);
 
 /// One strategy's outcome in the utility ablation.
 #[derive(Debug, Clone)]
@@ -56,13 +57,13 @@ impl ToJson for UtilityAblationRow {
 pub fn utility_ablation(dataset: PresetKind, scale: f64) -> Vec<UtilityAblationRow> {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     [Strategy::Mcp, Strategy::Mlp, Strategy::SupportOnly, Strategy::LengthOnly]
         .into_iter()
         .map(|strategy| {
             let (cdb, stats) = Compressor::new(strategy).compress_with_stats(&db, &fp_old);
-            let run = AlgoFamily::HMine.run_recycled(&cdb, xi_new);
+            let run = timed_mine(Family::Hm, &cdb, xi_new, Parallelism::serial());
             UtilityAblationRow {
                 strategy: strategy.suffix(),
                 ratio: stats.ratio,
@@ -116,10 +117,10 @@ pub fn xi_old_sensitivity(dataset: PresetKind, scale: f64) -> Vec<XiOldRow> {
         .into_iter()
         .map(|xi_old| {
             let start = Instant::now();
-            let fp_old = mine_hmine(&db, xi_old);
+            let fp_old = HM.mine(&db, xi_old);
             let prep_s = start.elapsed().as_secs_f64();
             let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp_old);
-            let run = AlgoFamily::HMine.run_recycled(&cdb, xi_new);
+            let run = timed_mine(Family::Hm, &cdb, xi_new, Parallelism::serial());
             XiOldRow {
                 xi_old_pct: match xi_old {
                     MinSupport::Relative(f) => f * 100.0,
@@ -160,7 +161,7 @@ impl ToJson for LemmaAblation {
 pub fn lemma_ablation(dataset: PresetKind, scale: f64) -> LemmaAblation {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = preset.sweep()[preset.sweep().len() / 2];
 
@@ -298,7 +299,7 @@ pub fn incremental_experiment(dataset: PresetKind, scale: f64) -> Vec<Incrementa
         let recycled = inc.mine(xi);
         let recycled_s = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let scratch = mine_hmine(inc.db(), xi);
+        let scratch = HM.mine(inc.db(), xi);
         let scratch_s = start.elapsed().as_secs_f64();
         assert!(recycled.same_patterns_as(&scratch), "incremental mismatch");
         rows.push(IncrementalRow {
@@ -439,7 +440,7 @@ pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<Compre
     };
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let compressor = Compressor::new(Strategy::Mcp);
 
     // Best of three so one-shot jitter on small inputs doesn't decide
@@ -487,7 +488,7 @@ pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<Compre
 pub fn parallel_experiment(dataset: PresetKind, scale: f64) -> Vec<ParallelRow> {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut reference: Option<usize> = None;
@@ -495,7 +496,7 @@ pub fn parallel_experiment(dataset: PresetKind, scale: f64) -> Vec<ParallelRow> 
         .into_iter()
         .map(|threads| {
             let start = Instant::now();
-            let set = RpMine::default().mine_parallel(&cdb, xi_new, threads);
+            let set = RpMine::default().mine(&cdb, xi_new);
             let secs = start.elapsed().as_secs_f64();
             match reference {
                 None => reference = Some(set.len()),
@@ -550,16 +551,16 @@ pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
     };
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
-    for family in AlgoFamily::all() {
+    for family in PAPER_FAMILIES {
         let mut reference: Option<u64> = None;
         for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::threads(threads);
-            let fresh = family.run_baseline_par(&db, xi_new, par);
-            let rec = family.run_recycled_par(&cdb, xi_new, par);
+            let fresh = timed_mine(family, &db, xi_new, par);
+            let rec = timed_mine(family, &cdb, xi_new, par);
             assert_eq!(fresh.patterns, rec.patterns, "{family:?}: recycled count drift");
             match reference {
                 None => reference = Some(fresh.patterns),
@@ -567,7 +568,7 @@ pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
             }
             rows.push(MineParRow {
                 dataset: name,
-                engine: family.baseline_name().to_owned(),
+                engine: family.name().to_owned(),
                 threads,
                 secs: fresh.secs,
                 patterns: fresh.patterns,
@@ -600,18 +601,18 @@ pub fn mine_vertical_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParR
     };
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
     let mut reference: Option<u64> = None;
-    for family in AlgoFamily::with_vertical() {
+    for family in Family::ALL {
         for threads in [1usize, 4] {
             let par = Parallelism::threads(threads);
-            let fresh = family.run_baseline_par(&db, xi_new, par);
-            let rec = family.run_recycled_par(&cdb, xi_new, par);
+            let fresh = timed_mine(family, &db, xi_new, par);
+            let rec = timed_mine(family, &cdb, xi_new, par);
             for (engine, run) in
-                [(family.baseline_name().to_owned(), fresh), (format!("{}-MCP", family.tag()), rec)]
+                [(family.name().to_owned(), fresh), (format!("{}-MCP", family.tag()), rec)]
             {
                 match reference {
                     None => reference = Some(run.patterns),
@@ -695,7 +696,7 @@ pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
     };
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
@@ -706,10 +707,12 @@ pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
             metrics::set_enabled(true);
             let mut sink = CountSink::new();
             let start = Instant::now();
+            let vt = Engine { family: Family::Vt, opts: EngineOpts { vt_repr: repr } };
+            let serial = Parallelism::serial();
             if substrate == "raw" {
-                Eclat::with_repr(repr).mine_into(&db, xi_new, &mut sink);
+                vt.mine_into(&db, xi_new, serial, &mut sink);
             } else {
-                RecycleVt::with_repr(repr).mine_into(&cdb, xi_new, &mut sink);
+                vt.mine_into(&cdb, xi_new, serial, &mut sink);
             }
             let secs = start.elapsed().as_secs_f64();
             metrics::set_enabled(false);

@@ -8,9 +8,9 @@
 //! queries per rung — and ξ_min lands on the sweep floor, the same
 //! ξ_new the solo bench rows mine at.
 
-use crate::AlgoFamily;
 use gogreen_constraints::ConstraintSet;
 use gogreen_core::batch::{BatchQuery, QueryBatch};
+use gogreen_core::engine::Family;
 use gogreen_data::{CountSink, MinSupport, PatternSink, TransactionDb};
 use gogreen_util::pool::Parallelism;
 
@@ -56,7 +56,7 @@ pub fn fleet(ladder: &[MinSupport]) -> QueryBatch {
 /// across members as the bench checksum.
 pub fn run_batched(
     db: &TransactionDb,
-    family: AlgoFamily,
+    family: Family,
     ladder: &[MinSupport],
     par: Parallelism,
 ) -> u64 {
@@ -102,7 +102,7 @@ mod tests {
         let db = TransactionDb::paper_example();
         let ladder = vec![MinSupport::Absolute(4), MinSupport::Absolute(2)];
         let solo: u64 = ladder.iter().map(|&xi| mine_apriori(&db, xi).len() as u64).sum();
-        for family in AlgoFamily::with_vertical() {
+        for family in Family::ALL {
             let got = run_batched(&db, family, &ladder, Parallelism::serial());
             assert_eq!(got, solo, "{family:?}");
         }

@@ -53,18 +53,21 @@
 //! the final snapshot as JSON lines.
 
 use gogreen_bench::ablation;
+use gogreen_bench::algo::timed_mine;
 use gogreen_bench::figures::{run_figure, run_mem_figure, FigureResult, MemFigureResult};
 use gogreen_bench::perfgate;
 use gogreen_bench::report::{fmt_secs, fmt_speedup, render_table, Reporter};
 use gogreen_bench::table3::run_table3;
-use gogreen_bench::AlgoFamily;
 use gogreen_bench::DEFAULT_SCALE;
-use gogreen_core::recycle_hm::RecycleHm;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_core::engine::{Engine, Family};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::MinSupport;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
 use gogreen_obs::{histogram, metrics, profile};
+use gogreen_util::pool::Parallelism;
+
+/// H-Mine mines the recycled fodder and the reference runs here.
+const HM: Engine = Engine::new(Family::Hm);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -221,9 +224,9 @@ const REQUIRED_COUNTERS: &[&str] = &[
 fn cmd_quick(scale: f64) {
     let preset = DatasetPreset::new(PresetKind::Weather, scale.min(0.02));
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp);
-    let patterns = RecycleHm.mine(&cdb, MinSupport::percent(2.0));
+    let patterns = HM.mine(&cdb, MinSupport::percent(2.0));
     println!(
         "quick: weather ×{} — {} tuples, {} recycled patterns, ratio {:.3}, {} patterns at 2% in {}",
         preset.scale,
@@ -244,7 +247,6 @@ fn cmd_quick(scale: f64) {
 /// threads.
 fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
     use gogreen_bench::batchwork;
-    use gogreen_util::pool::Parallelism;
     use std::time::Instant;
 
     println!(
@@ -300,12 +302,12 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
         let before = touches();
         let t0 = Instant::now();
         for &xi in &ladder {
-            AlgoFamily::HMine.run_baseline(&db, xi);
+            timed_mine(Family::Hm, &db, xi, Parallelism::serial());
         }
         let secs_solo = t0.elapsed().as_secs_f64();
         let touches_solo = touches() - before;
         let before = touches();
-        AlgoFamily::HMine.run_baseline(&db, MinSupport::Absolute(xi_min));
+        timed_mine(Family::Hm, &db, MinSupport::Absolute(xi_min), Parallelism::serial());
         let touches_floor = touches() - before;
 
         let vs_floor = touches_batched as f64 / touches_floor.max(1) as f64;
@@ -379,7 +381,6 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
 /// ooc-smoke job runs.
 fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
     use gogreen_storage::{MemoryBudget, OocMiner, SegmentWriter, SegmentedDb};
-    use gogreen_util::pool::Parallelism;
     use std::time::Instant;
 
     println!(
@@ -410,7 +411,7 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
     // In-memory reference stream (canonical sorted pattern file bytes).
     let db = preset.generate();
     let t0 = Instant::now();
-    let reference = mine_hmine(&db, xi_new);
+    let reference = HM.mine(&db, xi_new);
     let mem_s = t0.elapsed().as_secs_f64();
     let fp_file = |tag: &str, set: &gogreen_data::PatternSet| -> Vec<u8> {
         let p =
@@ -604,23 +605,19 @@ fn check_perf_mining(path: &str, drifts: &mut Vec<String>, compared: &mut usize)
         // preset at the same scale and ξ reproduces the same work.
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = HM.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         let ladder = gogreen_bench::batchwork::zipf_ladder(&preset.sweep(), 8);
-        for family in AlgoFamily::with_vertical() {
+        for family in Family::ALL {
             perfgate::reset_registries();
-            let raw = perfgate::measure(|| family.run_baseline(&db, xi_new).patterns);
+            let serial = Parallelism::serial();
+            let raw = perfgate::measure(|| timed_mine(family, &db, xi_new, serial).patterns);
             perfgate::reset_registries();
-            let rec = perfgate::measure(|| family.run_recycled(&cdb, xi_new).patterns);
+            let rec = perfgate::measure(|| timed_mine(family, &cdb, xi_new, serial).patterns);
             perfgate::reset_registries();
             let batched = perfgate::measure(|| {
-                gogreen_bench::batchwork::run_batched(
-                    &db,
-                    family,
-                    &ladder,
-                    gogreen_util::pool::Parallelism::serial(),
-                )
+                gogreen_bench::batchwork::run_batched(&db, family, &ladder, serial)
             });
             let recycled_id = format!("{}-MCP", family.tag());
             let batch_id = format!("{}-Batch8", family.tag());
@@ -628,7 +625,7 @@ fn check_perf_mining(path: &str, drifts: &mut Vec<String>, compared: &mut usize)
                 if !row.param.starts_with(&prefix) {
                     continue;
                 }
-                let obs = if row.id == family.baseline_name() {
+                let obs = if row.id == family.name() {
                     &raw
                 } else if row.id == recycled_id {
                     &rec
@@ -659,7 +656,7 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
     for kind in [PresetKind::Connect4, PresetKind::Weather] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = HM.mine(&db, preset.xi_old());
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             perfgate::reset_registries();
             let obs = perfgate::measure(|| Compressor::new(strategy).compress(&db, &fp));
@@ -681,7 +678,7 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
             _ => &[0.05, 0.02, 0.01],
         };
         for &rel in supports {
-            let fp = mine_hmine(&db, MinSupport::Relative(rel));
+            let fp = HM.mine(&db, MinSupport::Relative(rel));
             let compressor = Compressor::new(Strategy::Mcp);
             let param = format!("{}/fp{}", preset.name(), fp.len());
             perfgate::reset_registries();
@@ -713,19 +710,20 @@ fn cmd_obs_hist(scale: f64, reporter: &Reporter) {
     );
     let preset = DatasetPreset::new(PresetKind::Connect4, scale);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let was_enabled = metrics::enabled();
     metrics::set_enabled(true);
     let mut table: Vec<Vec<String>> = Vec::new();
-    for family in AlgoFamily::with_vertical() {
+    for family in Family::ALL {
         for recycled in [false, true] {
             histogram::reset();
+            let serial = Parallelism::serial();
             let (engine, patterns) = if recycled {
-                (format!("{}-MCP", family.tag()), family.run_recycled(&cdb, xi_new).patterns)
+                (format!("{}-MCP", family.tag()), timed_mine(family, &cdb, xi_new, serial).patterns)
             } else {
-                (family.baseline_name().to_owned(), family.run_baseline(&db, xi_new).patterns)
+                (family.name().to_owned(), timed_mine(family, &db, xi_new, serial).patterns)
             };
             let h = histogram::get("mine.projected_db_size").unwrap_or_default();
             table.push(vec![
@@ -811,7 +809,7 @@ fn cmd_table3(scale: f64, reporter: &Reporter) {
 
 fn cmd_figure(id: u8, scale: f64, reporter: &Reporter) {
     let res: FigureResult = run_figure(id, scale);
-    let base = res.spec.family.baseline_name();
+    let base = res.spec.family.name();
     let tag = res.spec.family.tag();
     println!(
         "\n== Figure {id}: {base} vs {tag}-MCP vs {tag}-MLP on {} (scale {scale}{}) ==",

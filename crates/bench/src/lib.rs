@@ -28,7 +28,6 @@ pub mod perfgate;
 pub mod report;
 pub mod table3;
 
-pub use algo::AlgoFamily;
 pub use figures::{run_figure, run_mem_figure, FigureResult, MemFigureResult};
 pub use harness::{BenchGroup, BenchResult};
 pub use report::Reporter;

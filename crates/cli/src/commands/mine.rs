@@ -3,14 +3,14 @@
 
 use crate::args::{parse_items, parse_support, Args};
 use crate::commands::{
-    load_db, measure_arena_bytes, measure_storage, parse_bytes, parse_engine_opts, parse_threads,
+    load_db, measure_arena_bytes, measure_storage, parse_bytes, parse_engine, parse_threads,
     setup_obs, show_bytes, show_support,
 };
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes, Pushdown};
 use gogreen_core::batch::{BatchQuery, QueryBatch};
-use gogreen_core::engine::{engine_keys, engine_named, EngineOpts};
+use gogreen_core::engine::Engine;
 use gogreen_data::{CollectSink, Item, MinSupport, PatternSet, TransactionDb};
-use gogreen_storage::{MemoryBudget, OocEngine, OocMiner, SegmentedDb};
+use gogreen_storage::{MemoryBudget, OocMiner, SegmentedDb};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::Json;
 use std::time::Instant;
@@ -31,9 +31,9 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
         return obs.finish();
     }
     let support = parse_support(args.required("support")?)?;
-    let algo = args.opt("algo").unwrap_or("hmine");
+    let engine = parse_engine(&args)?;
+    let algo = engine.family.key();
     let par = parse_threads(args.opt("threads"))?;
-    let opts = parse_engine_opts(&args)?;
 
     // Pushable constraints.
     let mut cs = ConstraintSet::support_only(support);
@@ -54,13 +54,6 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
             // Out-of-core: one rank-encode pass per segment, identical
             // output to materializing the store. Pushed constraints are
             // applied as post-filters (same result set).
-            let engine = match OocEngine::from_key(algo) {
-                Some(OocEngine::Eclat(_)) => OocEngine::Eclat(opts.vt_repr),
-                Some(e) => e,
-                None => {
-                    return Err(format!("--db-dir supports --algo hmine|fp|tp|vt, not {algo:?}"))
-                }
-            };
             let mut seg = SegmentedDb::open(dir).map_err(|e| format!("opening {dir}: {e}"))?;
             if let Some(b) = args.opt("budget") {
                 seg = seg.with_budget(MemoryBudget::bytes(parse_bytes(b)?));
@@ -88,13 +81,11 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
             let db = load_db(&path)?;
             let (patterns, arena_bytes) = measure_arena_bytes(|| {
                 let mut sp = gogreen_obs::span("mine");
-                let patterns = mine(&db, support, algo, par, opts, &pushdown, &attrs);
-                if let Ok(p) = &patterns {
-                    sp.field("algo", algo).field("patterns", p.len());
-                }
+                let patterns = mine(&db, support, engine, par, &pushdown, &attrs);
+                sp.field("algo", algo).field("patterns", patterns.len());
                 patterns
             });
-            (patterns?, db.len(), format!("{algo}, arena {}", show_bytes(arena_bytes)))
+            (patterns, db.len(), format!("{algo}, arena {}", show_bytes(arena_bytes)))
         }
     };
     let elapsed = start.elapsed();
@@ -135,29 +126,22 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
 fn mine(
     db: &TransactionDb,
     support: MinSupport,
-    algo: &str,
+    engine: Engine,
     par: Parallelism,
-    opts: EngineOpts,
     pushdown: &Pushdown,
     attrs: &ItemAttributes,
-) -> Result<PatternSet, String> {
-    // Every algorithm resolves through the engine registry. Constraint
-    // pushdown into the search is serial-only (and only some families
-    // provide it); otherwise mine unconstrained — fanning the
+) -> PatternSet {
+    // Constraint pushdown into the search is serial-only (and only
+    // H-Mine provides it); otherwise mine unconstrained — fanning the
     // first-level projections out over `par` threads — and post-filter
     // the pushed constraints.
-    let engine =
-        engine_named(algo).ok_or_else(|| format!("unknown algo {algo:?} ({})", engine_keys()))?;
     if par.is_serial() {
         let mut sink = CollectSink::new();
-        if engine.mine_raw_pruned(db, support, &pushdown.search(attrs), &mut sink) {
-            return Ok(sink.into_set());
+        if engine.mine_pruned(db, support, &pushdown.search(attrs), &mut sink) {
+            return sink.into_set();
         }
     }
-    Ok(engine
-        .raw_with(opts)
-        .mine_par(db, support, par)
-        .filter(|p| pushdown.prefix_ok(p.items(), attrs)))
+    engine.mine_par(db, support, par).filter(|p| pushdown.prefix_ok(p.items(), attrs))
 }
 
 /// `gogreen mine <db.txt> --batch <spec.json>` — one shared pass answers
@@ -168,9 +152,9 @@ fn mine(
 /// query's output is byte-identical to a solo `mine` run with the same
 /// constraints.
 fn run_batch(args: &Args, path: &str, spec_path: &str) -> Result<(), String> {
-    let algo = args.opt("algo").unwrap_or("hmine");
+    let engine = parse_engine(args)?;
+    let algo = engine.family.key();
     let par = parse_threads(args.opt("threads"))?;
-    let opts = parse_engine_opts(args)?;
     for flag in ["support", "max-length", "items", "filter"] {
         if args.opt(flag).is_some() {
             return Err(format!("--{flag} belongs inside the --batch spec, not the command line"));
@@ -189,7 +173,7 @@ fn run_batch(args: &Args, path: &str, spec_path: &str) -> Result<(), String> {
         return Err(format!("{spec_path}: batch has no queries"));
     }
 
-    let mut batch = QueryBatch::new().with_parallelism(par).with_engine_opts(opts);
+    let mut batch = QueryBatch::new().with_parallelism(par).with_engine_opts(engine.opts);
     let mut labels = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let label = match entry.get("label") {

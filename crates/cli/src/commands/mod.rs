@@ -10,7 +10,7 @@ pub mod session;
 pub mod stats;
 
 use crate::args::Args;
-use gogreen_core::engine::{EngineOpts, VtRepr};
+use gogreen_core::engine::{engine_keys, Engine, EngineOpts, Family, VtRepr};
 use gogreen_core::utility::Strategy;
 use gogreen_data::{MinSupport, TransactionDb};
 use gogreen_util::pool::Parallelism;
@@ -41,15 +41,21 @@ pub fn parse_threads(opt: Option<&str>) -> Result<Parallelism, String> {
     }
 }
 
-/// Parses the per-engine options shared by `mine` and `recycle`:
-/// currently just `--vt-repr auto|bitmap|tidlist|diffset`.
-pub fn parse_engine_opts(args: &Args) -> Result<EngineOpts, String> {
+/// Parses the engine flags shared by `mine` and `recycle`: `--algo`
+/// (default H-Mine) and `--vt-repr auto|bitmap|tidlist|diffset`.
+pub fn parse_engine(args: &Args) -> Result<Engine, String> {
+    let family = match args.opt("algo") {
+        None => Family::Hm,
+        Some(a) => {
+            Family::from_key(a).ok_or_else(|| format!("unknown algo {a:?} ({})", engine_keys()))?
+        }
+    };
     let vt_repr = match args.opt("vt-repr") {
         None => VtRepr::Auto,
         Some(v) => VtRepr::parse(v)
             .ok_or_else(|| format!("unknown --vt-repr {v:?} (auto|bitmap|tidlist|diffset)"))?,
     };
-    Ok(EngineOpts { vt_repr })
+    Ok(Engine { family, opts: EngineOpts { vt_repr } })
 }
 
 /// Renders a support back for messages.

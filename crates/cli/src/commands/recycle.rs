@@ -3,11 +3,10 @@
 
 use crate::args::{parse_support, Args};
 use crate::commands::{
-    load_db, measure_arena_bytes, parse_engine_opts, parse_strategy, parse_threads, setup_obs,
+    load_db, measure_arena_bytes, parse_engine, parse_strategy, parse_threads, setup_obs,
     show_bytes, show_support,
 };
-use gogreen_core::engine::{engine_keys, engine_named};
-use gogreen_core::{Compressor, RecyclingMiner};
+use gogreen_core::Compressor;
 use std::time::Instant;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
@@ -21,22 +20,18 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
     let support = parse_support(args.required("support")?)?;
     let strategy = parse_strategy(args.opt("strategy"))?;
     let par = parse_threads(args.opt("threads"))?;
-    let algo = args.opt("algo").unwrap_or("hm");
-    let opts = parse_engine_opts(&args)?;
-    let miner: Box<dyn RecyclingMiner> = engine_named(algo)
-        .ok_or_else(|| format!("unknown algo {algo:?} ({})", engine_keys()))?
-        .recycling_with(par, opts)
-        .ok_or_else(|| format!("algo {algo:?} has no recycling adaptation"))?;
+    let engine = parse_engine(&args)?;
 
     let start = Instant::now();
     let (cdb, stats) =
         Compressor::new(strategy).with_parallelism(par).compress_with_stats(&db, &fp);
     let compress_time = start.elapsed();
     let start = Instant::now();
-    let (patterns, arena_bytes) = measure_arena_bytes(|| miner.mine_par(&cdb, support, par));
+    let (patterns, arena_bytes) = measure_arena_bytes(|| engine.mine_par(&cdb, support, par));
     let mine_time = start.elapsed();
 
-    println!("{path}: recycled {} patterns [{}-{}]", fp.len(), miner.name(), strategy.suffix());
+    let label = format!("{}-{}", engine.family.tag(), strategy.suffix());
+    println!("{path}: recycled {} patterns [{label}]", fp.len());
     println!(
         "  compression  {compress_time:.2?} (ratio {:.4}, {} groups covering {}/{})",
         stats.ratio, stats.num_groups, stats.covered_tuples, stats.num_tuples

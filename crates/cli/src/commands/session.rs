@@ -9,14 +9,15 @@
 //! run                mine under the current constraints
 //! top [N]            show the N (default 10) best patterns of the last run
 //! save <file>        write the last result as `items : support` lines
-//! engine <name>      hmine | fp | tp | vt | naive
+//! engine <name>      one of the `mine --algo` keys
 //! quit               exit
 //! ```
 
 use crate::args::{parse_support, Args};
 use crate::commands::{load_db, parse_threads, setup_obs};
 use gogreen_constraints::{Constraint, ConstraintSet};
-use gogreen_core::session::{Engine, MiningSession};
+use gogreen_core::engine::{engine_keys, engine_named};
+use gogreen_core::session::MiningSession;
 use gogreen_data::{MinSupport, PatternSet};
 use gogreen_util::pool::Parallelism;
 use std::io::BufRead;
@@ -28,8 +29,9 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
     let db = load_db(path)?;
     let par = parse_threads(args.opt("threads"))?;
     println!(
-        "session on {path} ({} tuples); `run` mines, `quit` exits, see docs for more",
-        db.len()
+        "session on {path} ({} tuples); `run` mines, `engine <{}>` switches family, `quit` exits",
+        db.len(),
+        engine_keys(),
     );
     let stdin = std::io::stdin();
     drive_with(db, par, stdin.lock())?;
@@ -69,8 +71,8 @@ pub fn drive_with(
             }
             "engine" => {
                 let name = arg.ok_or("engine expects a name")?;
-                let engine =
-                    Engine::from_key(name).ok_or_else(|| format!("unknown engine {name:?}"))?;
+                let engine = engine_named(name)
+                    .ok_or_else(|| format!("unknown engine {name:?} ({})", engine_keys()))?;
                 session = MiningSession::new(session.db().clone())
                     .with_engine(engine)
                     .with_parallelism(par);
@@ -144,7 +146,7 @@ mod tests {
 
     #[test]
     fn threaded_session_runs_and_survives_engine_reset() {
-        let script = "support 2\nrun\nengine fp\nrun\nengine vt\nrun\nengine naive\nrun\nquit\n";
+        let script = "support 2\nrun\nengine fp\nrun\nengine vt\nrun\nengine tp\nrun\nquit\n";
         drive_with(TransactionDb::paper_example(), Parallelism::threads(3), script.as_bytes())
             .unwrap();
     }

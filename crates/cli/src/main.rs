@@ -76,7 +76,7 @@ USAGE
   gogreen stats    <db.txt>
   gogreen generate <weather|forest|connect4|pumsb> [--scale S] -o <db.txt>
                    [--db-dir DIR] [--segment-bytes B]
-  gogreen mine     <db.txt> --support <ξ> [--algo hmine|fp|tp|vt|apriori|naive]
+  gogreen mine     <db.txt> --support <ξ> [--algo {keys}]
                    [--max-length K] [--items 1,2,3] [--filter closed|maximal]
                    [--threads N] [-o patterns.txt]
   gogreen mine     <db.txt> --batch <spec.json> [--algo A] [--threads N]
@@ -85,10 +85,10 @@ USAGE
                    [--threads N]
   gogreen compact  <db-dir> [--segment-bytes B]
   gogreen recycle  <db.txt> --patterns <fp.txt> --support <ξ>
-                   [--algo hm|fp|tp|naive] [--strategy mcp|mlp] [--threads N]
+                   [--algo {keys}] [--strategy mcp|mlp] [--threads N]
                    [-o patterns.txt]
   gogreen diff     <new.txt> <old.txt> [--limit N]
-  gogreen session  <db.txt> [--threads N]
+  gogreen session  <db.txt> [--threads N]   # REPL on stdin, see SESSION
 
 OUT-OF-CORE (mine | compress)
   --db-dir <dir>   mine/compress an on-disk segment store (written by
@@ -106,6 +106,10 @@ BATCH (mine)
                    \"support\" (\"3%\" or absolute), optional \"label\",
                    \"max-length\", and \"items\" [1,2,3]. With -o PREFIX
                    each query writes PREFIX.<label>.txt
+
+SESSION (stdin, one command per line)
+  support <ξ> | maxlen <K> | run | top [N] | save <file> | quit
+  engine <{keys}>   switch family (resets the session)
 
 FORMATS
   databases: one transaction per line, whitespace-separated item ids
@@ -128,6 +132,7 @@ OBSERVABILITY (mine | compress | recycle | session)
 
 The recycle command is the paper's two-phase pipeline: compress <db>
 with the recycled <fp.txt>, then mine the compressed database — exact,
-and usually much faster than mining from scratch."
+and usually much faster than mining from scratch.",
+        keys = gogreen_core::engine::engine_keys(),
     );
 }

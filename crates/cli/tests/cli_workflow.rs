@@ -168,3 +168,41 @@ fn diff_and_condensed_filters() {
     assert!(max_n > 0 && max_n < full_n, "maximal {max_n} vs full {full_n}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn algo_usage_lists_the_engine_keys_and_recycle_runs_vt() {
+    let keys = gogreen_core::engine::engine_keys();
+    let usage = run_ok(&["help"]);
+    for command in ["gogreen mine     <db.txt> --support", "gogreen recycle "] {
+        let at = usage.find(command).unwrap_or_else(|| panic!("no {command:?} line in {usage}"));
+        let listed = usage[at..].split("--algo ").nth(1).and_then(|s| s.split(']').next());
+        assert_eq!(listed, Some(keys.as_str()), "{command}");
+    }
+
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    let dbs = db.to_str().unwrap();
+    let fp_hi = dir.join("fp_hi.txt");
+    let fp_vt = dir.join("fp_vt.txt");
+    let fp_scratch = dir.join("fp_scratch.txt");
+    run_ok(&["generate", "pumsb", "--scale", "0.01", "-o", dbs]);
+    run_ok(&["mine", dbs, "--support", "90%", "-o", fp_hi.to_str().unwrap()]);
+    let out = run_ok(&[
+        "recycle",
+        dbs,
+        "--patterns",
+        fp_hi.to_str().unwrap(),
+        "--support",
+        "82%",
+        "--algo",
+        "vt",
+        "-o",
+        fp_vt.to_str().unwrap(),
+    ]);
+    assert!(out.contains("[VT-MCP]"), "{out}");
+    run_ok(&["mine", dbs, "--support", "82%", "-o", fp_scratch.to_str().unwrap()]);
+    let a = std::fs::read_to_string(&fp_vt).unwrap();
+    let b = std::fs::read_to_string(&fp_scratch).unwrap();
+    assert_eq!(a, b, "recycled vt vs scratch pattern files differ");
+    std::fs::remove_dir_all(&dir).ok();
+}

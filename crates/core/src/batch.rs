@@ -38,7 +38,7 @@
 //!   query only when the *marginal* shared cost is at most its solo
 //!   cost; the rest run solo inside the same call (`batch.rejected`).
 //! * **Determinism.** The shared pass runs through each engine's
-//!   `mine_into_par` fan-out (`fan_out_ordered` replay), so the stream
+//!   `Engine::mine_into` fan-out (`fan_out_ordered` replay), so the stream
 //!   reaching the demultiplexer — and therefore every member stream and
 //!   every `batch.*` metric — is identical at any `--threads N`.
 //!
@@ -47,7 +47,7 @@
 //! [`PatternStore`] so every member's threshold (and any future query
 //! at ξ ≥ ξ_min) is answerable by filtering.
 
-use crate::engine::{engine_named, EngineOpts, MiningEngine};
+use crate::engine::{Engine, EngineOpts, Family, MineInput};
 use crate::store::PatternStore;
 use crate::CompressedDb;
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes};
@@ -256,134 +256,76 @@ impl QueryBatch {
         BatchPlan { xi_abs, xi_min: xi_cur, admitted, rejected, envelope: allowed_cur }
     }
 
-    /// Runs the batch on a raw database, streaming each query's result
-    /// into its sink (`sinks` is index-aligned with the batch). Every
-    /// member stream is byte-identical to [`Self::run_solo`] on the same
-    /// engine.
-    pub fn run_into(
+    /// Runs the batch on `input` (a raw or compressed database),
+    /// streaming each query's result into its sink (`sinks` is
+    /// index-aligned with the batch). Every member stream is
+    /// byte-identical to [`Self::run_solo`] on the same engine.
+    pub fn run_into<I: BatchInput>(
         &self,
-        db: &TransactionDb,
+        input: &I,
         algo: &str,
         sinks: &mut [&mut dyn PatternSink],
     ) -> Result<BatchReport, String> {
-        self.run_raw_impl(db, algo, sinks, None)
+        self.run_impl(input, algo, sinks, None)
     }
 
     /// Like [`Self::run_into`], collecting per-query [`PatternSet`]s.
-    pub fn run(&self, db: &TransactionDb, algo: &str) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_raw_impl(db, algo, sinks, None))
+    pub fn run<I: BatchInput>(&self, input: &I, algo: &str) -> Result<BatchOutcome, String> {
+        self.collect(|sinks| self.run_impl(input, algo, sinks, None))
     }
 
     /// Like [`Self::run`], additionally publishing the shared-pass
     /// result (the complete frequent set at ξ_min) into `store` under
     /// `dataset`, when the pass was complete (no pushed envelope).
-    pub fn run_with_store(
+    pub fn run_with_store<I: BatchInput>(
         &self,
-        db: &TransactionDb,
+        input: &I,
         algo: &str,
         store: &PatternStore,
         dataset: &str,
     ) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_raw_impl(db, algo, sinks, Some((store, dataset))))
-    }
-
-    /// Runs the batch on a compressed (recycled) substrate. No item
-    /// envelope is pushed — admission is purely support-driven — but
-    /// coalescing, demux, and determinism guarantees are identical.
-    pub fn run_recycled_into(
-        &self,
-        cdb: &CompressedDb,
-        algo: &str,
-        sinks: &mut [&mut dyn PatternSink],
-    ) -> Result<BatchReport, String> {
-        self.run_recycled_impl(cdb, algo, sinks, None)
-    }
-
-    /// Like [`Self::run_recycled_into`], collecting per-query sets.
-    pub fn run_recycled(&self, cdb: &CompressedDb, algo: &str) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_recycled_impl(cdb, algo, sinks, None))
-    }
-
-    /// Like [`Self::run_recycled`], publishing the ξ_min set into
-    /// `store`.
-    pub fn run_recycled_with_store(
-        &self,
-        cdb: &CompressedDb,
-        algo: &str,
-        store: &PatternStore,
-        dataset: &str,
-    ) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_recycled_impl(cdb, algo, sinks, Some((store, dataset))))
+        self.collect(|sinks| self.run_impl(input, algo, sinks, Some((store, dataset))))
     }
 
     /// The solo reference: answers query `idx` alone — one pass at ξᵢ
     /// through the same per-query filter the demultiplexer applies.
     /// This is the stream batched runs are byte-compared against.
-    pub fn run_solo(
+    pub fn run_solo<I: BatchInput>(
         &self,
         idx: usize,
-        db: &TransactionDb,
+        input: &I,
         algo: &str,
         sink: &mut dyn PatternSink,
     ) -> Result<(), String> {
-        let engine = lookup(algo)?;
+        let engine = self.engine(algo)?;
         let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
-        let xi = q.constraints.min_support().to_absolute(db.len());
+        let xi = q.constraints.min_support().to_absolute(input.num_tuples());
         let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        engine.raw_with(self.opts).mine_into_par(
-            db,
-            MinSupport::Absolute(xi),
-            self.par,
-            &mut demux,
-        );
+        engine.mine_into(input, MinSupport::Absolute(xi), self.par, &mut demux);
         demux.flush();
         Ok(())
     }
 
-    /// [`Self::run_solo`] on the compressed substrate.
-    pub fn run_solo_recycled(
+    fn run_impl<I: BatchInput>(
         &self,
-        idx: usize,
-        cdb: &CompressedDb,
-        algo: &str,
-        sink: &mut dyn PatternSink,
-    ) -> Result<(), String> {
-        let engine = lookup(algo)?;
-        let rec = engine
-            .recycling_with(self.par, self.opts)
-            .ok_or_else(|| format!("engine '{algo}' has no recycling pair"))?;
-        let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
-        let xi = q.constraints.min_support().to_absolute(cdb.num_tuples());
-        let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        rec.mine_into_par(cdb, MinSupport::Absolute(xi), self.par, &mut demux);
-        demux.flush();
-        Ok(())
-    }
-
-    fn run_raw_impl(
-        &self,
-        db: &TransactionDb,
+        input: &I,
         algo: &str,
         sinks: &mut [&mut dyn PatternSink],
         store: Option<(&PatternStore, &str)>,
     ) -> Result<BatchReport, String> {
         let engine = self.validate(algo, sinks.len())?;
-        let counts = db.item_supports();
-        let plan = self.plan(&counts, db.len(), true);
+        let counts = input.item_supports(Parallelism::serial());
+        let plan = self.plan(&counts, input.num_tuples(), I::ENVELOPE);
         let mut sp = span("batch");
         self.count_plan(&plan, &mut sp);
 
         let mut tee = (store.is_some() && plan.envelope.is_none()).then(CollectSink::new);
         let shared_patterns = {
             let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
-            let miner = engine.raw_with(self.opts);
             let xi = MinSupport::Absolute(plan.xi_min);
-            match &plan.envelope {
-                Some(env) => {
-                    let restricted = restrict_db(db, env);
-                    miner.mine_into_par(&restricted, xi, self.par, &mut demux);
-                }
-                None => miner.mine_into_par(db, xi, self.par, &mut demux),
+            match plan.envelope.as_deref().and_then(|env| input.restricted(env)) {
+                Some(restricted) => engine.mine_into(&restricted, xi, self.par, &mut demux),
+                None => engine.mine_into(input, xi, self.par, &mut demux),
             }
             demux.flush()
         };
@@ -393,12 +335,7 @@ impl QueryBatch {
         // the same filter machinery (and therefore identical streams).
         for &i in &plan.rejected {
             let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            engine.raw_with(self.opts).mine_into_par(
-                db,
-                MinSupport::Absolute(plan.xi_abs[i]),
-                self.par,
-                &mut demux,
-            );
+            engine.mine_into(input, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
             demux.flush();
         }
 
@@ -413,48 +350,7 @@ impl QueryBatch {
         Ok(BatchReport { plan, shared_patterns, published_at })
     }
 
-    fn run_recycled_impl(
-        &self,
-        cdb: &CompressedDb,
-        algo: &str,
-        sinks: &mut [&mut dyn PatternSink],
-        store: Option<(&PatternStore, &str)>,
-    ) -> Result<BatchReport, String> {
-        let engine = self.validate(algo, sinks.len())?;
-        let rec = engine
-            .recycling_with(self.par, self.opts)
-            .ok_or_else(|| format!("engine '{algo}' has no recycling pair"))?;
-        let counts = cdb.item_supports();
-        let plan = self.plan(&counts, cdb.num_tuples(), false);
-        let mut sp = span("batch");
-        self.count_plan(&plan, &mut sp);
-
-        let mut tee = store.is_some().then(CollectSink::new);
-        let shared_patterns = {
-            let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
-            rec.mine_into_par(cdb, MinSupport::Absolute(plan.xi_min), self.par, &mut demux);
-            demux.flush()
-        };
-        metrics::add("batch.demux_patterns", shared_patterns);
-
-        for &i in &plan.rejected {
-            let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            rec.mine_into_par(cdb, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
-            demux.flush();
-        }
-
-        let published_at = match (store, tee) {
-            (Some((store, dataset)), Some(t)) => {
-                store.publish(dataset, plan.xi_min, t.into_set());
-                Some(plan.xi_min)
-            }
-            _ => None,
-        };
-        sp.field("shared_patterns", shared_patterns);
-        Ok(BatchReport { plan, shared_patterns, published_at })
-    }
-
-    fn validate(&self, algo: &str, num_sinks: usize) -> Result<&'static dyn MiningEngine, String> {
+    fn validate(&self, algo: &str, num_sinks: usize) -> Result<Engine, String> {
         if self.queries.is_empty() {
             return Err("batch has no queries".into());
         }
@@ -465,7 +361,13 @@ impl QueryBatch {
                 num_sinks
             ));
         }
-        lookup(algo)
+        self.engine(algo)
+    }
+
+    /// The engine `algo` names, carrying the batch's options.
+    fn engine(&self, algo: &str) -> Result<Engine, String> {
+        let family = Family::from_key(algo).ok_or_else(|| format!("unknown engine '{algo}'"))?;
+        Ok(Engine { family, opts: self.opts })
     }
 
     fn count_plan(&self, plan: &BatchPlan, sp: &mut gogreen_obs::Span) {
@@ -632,10 +534,6 @@ impl PatternSink for DemuxSink<'_, '_> {
     }
 }
 
-fn lookup(algo: &str) -> Result<&'static dyn MiningEngine, String> {
-    engine_named(algo).ok_or_else(|| format!("unknown engine '{algo}'"))
-}
-
 /// Prices one pass at (ξ, envelope): total level-1 touches of the
 /// surviving items plus the Kruskal–Katona bound on level-2 candidates.
 fn pass_cost(counts: &[u64], xi: u64, allowed: Option<&[Item]>) -> u64 {
@@ -666,18 +564,40 @@ fn intersect_sorted(a: &[Item], b: &[Item]) -> Vec<Item> {
     a.iter().copied().filter(|it| b.binary_search(it).is_ok()).collect()
 }
 
-/// Materializes the pushed envelope: every row keeps only allowed items.
-/// Rows that empty out are *kept*, so the tuple count — and with it
-/// every relative-threshold conversion — is unchanged.
-fn restrict_db(db: &TransactionDb, envelope: &[Item]) -> TransactionDb {
-    let mut tuples = CsrTuples::with_capacity(db.len(), 0);
-    let mut row = Vec::new();
-    for t in db.iter() {
-        row.clear();
-        row.extend(t.iter().copied().filter(|it| envelope.binary_search(it).is_ok()));
-        tuples.push_row(&row);
+/// A substrate a batch runs on: a raw database, which can take a pushed
+/// item envelope, or a compressed one, which is planned on support
+/// alone.
+pub trait BatchInput: MineInput {
+    /// Whether the planner may push an item envelope into the pass.
+    const ENVELOPE: bool;
+
+    /// The input with every item outside `envelope` (sorted) dropped and
+    /// every row kept, so lengths and thresholds are unchanged; `None`
+    /// on inputs without an item-filter path.
+    fn restricted(&self, envelope: &[Item]) -> Option<TransactionDb>;
+}
+
+impl BatchInput for TransactionDb {
+    const ENVELOPE: bool = true;
+
+    fn restricted(&self, envelope: &[Item]) -> Option<TransactionDb> {
+        let mut tuples = CsrTuples::with_capacity(self.len(), 0);
+        let mut row = Vec::new();
+        for t in self.iter() {
+            row.clear();
+            row.extend(t.iter().copied().filter(|it| envelope.binary_search(it).is_ok()));
+            tuples.push_row(&row);
+        }
+        Some(TransactionDb::from_csr(tuples))
     }
-    TransactionDb::from_csr(tuples)
+}
+
+impl BatchInput for CompressedDb {
+    const ENVELOPE: bool = false;
+
+    fn restricted(&self, _envelope: &[Item]) -> Option<TransactionDb> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -722,7 +642,7 @@ mod tests {
             "b",
             ConstraintSet::support_only(MinSupport::Absolute(2)).with(Constraint::MaxLength(2)),
         ));
-        for algo in ["hmine", "fp", "tp", "vt", "naive"] {
+        for algo in Family::ALL.map(Family::key) {
             let mut out0 = Vec::new();
             let mut out1 = Vec::new();
             {
@@ -853,11 +773,11 @@ mod tests {
         batch.push(q("a", 2));
         batch.push(q("b", 4));
         let raw = batch.run(&db, "hmine").unwrap();
-        let rec = batch.run_recycled(&cdb, "hmine").unwrap();
+        let rec = batch.run(&cdb, "hmine").unwrap();
         for idx in 0..2 {
             assert!(raw.results[idx].same_patterns_as(&rec.results[idx]), "query {idx}");
         }
-        assert!(batch.run_recycled(&cdb, "apriori").is_err());
+        assert!(batch.run(&cdb, "apriori").is_err());
     }
 
     #[test]

@@ -240,12 +240,7 @@ impl CompressedDb {
     /// Builds the F-list of the represented database at `min_support`
     /// without decompressing.
     pub fn flist(&self, min_support: u64) -> FList {
-        self.flist_par(min_support, Parallelism::serial())
-    }
-
-    /// [`Self::flist`] with the support count parallelized.
-    pub fn flist_par(&self, min_support: u64, par: Parallelism) -> FList {
-        FList::from_counts(&self.item_supports_par(par), min_support)
+        FList::from_counts(&self.item_supports(), min_support)
     }
 
     /// Decompresses back to the original tuple multiset (tuple order is

@@ -10,9 +10,8 @@
 //! module packages that workflow.
 
 use crate::compress::Compressor;
-use crate::recycle_hm::RecycleHm;
+use crate::engine::{Engine, Family};
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_data::{MinSupport, PatternSet, Transaction, TransactionDb};
 
 /// An evolving database whose mining rounds recycle earlier rounds'
@@ -73,18 +72,13 @@ impl IncrementalMiner {
     /// for the next round. Exact regardless of how much the database
     /// changed since the recycled patterns were mined.
     pub fn mine(&mut self, min_support: MinSupport) -> PatternSet {
-        let result = match &self.recycled {
-            Some(old) if !old.is_empty() => {
-                let cdb = Compressor::new(self.strategy).compress(&self.db, old);
-                RecycleHm.mine(&cdb, min_support)
-            }
-            _ => {
-                // Nothing to recycle: mine the trivial compression (all
-                // plain), which is plain H-Mine-style mining.
-                let cdb = crate::cdb::CompressedDb::uncompressed(&self.db);
-                RecycleHm.mine(&cdb, min_support)
-            }
+        let cdb = match &self.recycled {
+            Some(old) if !old.is_empty() => Compressor::new(self.strategy).compress(&self.db, old),
+            // Nothing to recycle: mine the trivial compression (all
+            // plain), which is plain H-Mine-style mining.
+            _ => crate::cdb::CompressedDb::uncompressed(&self.db),
         };
+        let result = Engine::new(Family::Hm).mine(&cdb, min_support);
         self.recycled = Some(result.clone());
         result
     }

@@ -13,21 +13,15 @@
 //! 2. **Mining the compressed database** ([`cdb`]): projected-database
 //!    miners run directly on the grouped representation, saving work in
 //!    support counting (group counts stand in for per-tuple scans) and in
-//!    projection construction (group heads are touched once). Five miners
-//!    are provided:
-//!    * [`rpmine::RpMine`] — the paper's naive Algorithm *Recycling*
-//!      (Fig. 3) with the Lemma 3.1 single-group shortcut;
-//!    * [`recycle_hm::RecycleHm`] — the RP-Struct adaptation of H-Mine
-//!      (Figs. 4–8);
-//!    * [`recycle_fp::RecycleFp`] — the FP-tree adaptation (§4.2);
-//!    * [`recycle_tp::RecycleTp`] — the Tree Projection adaptation (§4.2);
-//!    * [`recycle_vt::RecycleVt`] — the vertical (Eclat) adaptation:
-//!      group runs become word-wise bitmap fills, mining becomes tidset
-//!      intersection.
-//!
-//! Each pair shares one generic traversal (`gogreen_miners::engine`)
-//! instantiated on either the plain or the grouped substrate; the
-//! [`engine`] registry pairs them up by name for every front end.
+//!    projection construction (group heads are touched once). The
+//!    [`engine`] mines it: each algorithm family (H-Mine over the
+//!    RP-Struct of Figs. 4–8, FP-tree and Tree Projection of §4.2, and a
+//!    vertical Eclat extension whose group runs become word-wise bitmap
+//!    fills) is one generic traversal in `gogreen_miners::engine`, and
+//!    [`engine::Engine`] runs it on a plain or a compressed database
+//!    alike. [`rpmine::RpMine`], the paper's naive Algorithm *Recycling*
+//!    (Fig. 3) with the Lemma 3.1 single-group shortcut, stays beside it
+//!    as the readable reference the tests compare against.
 //!
 //! On top of the pipeline sit the interactive pieces the paper motivates:
 //! [`session::MiningSession`] (iterative constraint refinement with
@@ -37,9 +31,9 @@
 //! bootstrap a single low-support request through its own high-support
 //! pre-pass).
 //!
-//! All recycling miners are *exact*: on any database, any recycled
-//! pattern set, and any new threshold, they produce the identical pattern
-//! set a from-scratch miner produces. The test suite enforces this
+//! Recycled mining is *exact*: on any database, any recycled pattern
+//! set, and any new threshold, it produces the identical pattern set a
+//! from-scratch run produces. The test suite enforces this
 //! against the Apriori oracle.
 
 pub mod batch;
@@ -49,71 +43,14 @@ pub mod cover;
 pub mod engine;
 pub mod incremental;
 pub mod memory;
-pub mod recycle_fp;
-pub mod recycle_hm;
-pub mod recycle_tp;
-pub mod recycle_vt;
 pub mod rpmine;
 pub mod session;
 pub mod store;
 pub mod twostep;
 pub mod utility;
 
-use gogreen_data::{CollectSink, MinSupport, PatternSet, PatternSink};
-use gogreen_util::pool::Parallelism;
-
-pub use batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
+pub use batch::{BatchInput, BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
 pub use cdb::CompressedDb;
 pub use compress::{CompressionStats, Compressor};
 pub use cover::{CoverIndex, CoverScratch};
 pub use utility::Strategy;
-
-/// A frequent-pattern miner that operates on a [`CompressedDb`].
-///
-/// Implementations must be exact: the emitted set equals the complete
-/// frequent-pattern set of the *original* database at `min_support`.
-pub trait RecyclingMiner {
-    /// Short algorithm name for reports ("HM-MCP" is this name plus the
-    /// compression strategy).
-    fn name(&self) -> &'static str;
-
-    /// Mines the complete frequent-pattern set, emitting into `sink`.
-    fn mine_into(&self, cdb: &CompressedDb, min_support: MinSupport, sink: &mut dyn PatternSink);
-
-    /// Like [`RecyclingMiner::mine_into`], fanning the first-level
-    /// projections out over `par` scoped threads. Group views are
-    /// read-only once constructed, so workers share the CDB (and any
-    /// derived structure — RP-Struct, group trees) by reference; the
-    /// emitted stream is byte-identical to the serial run at any thread
-    /// count.
-    fn mine_into_par(
-        &self,
-        cdb: &CompressedDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
-        let _ = par;
-        self.mine_into(cdb, min_support, sink);
-    }
-
-    /// Convenience wrapper collecting into a [`PatternSet`].
-    fn mine(&self, cdb: &CompressedDb, min_support: MinSupport) -> PatternSet {
-        self.mine_par(cdb, min_support, Parallelism::serial())
-    }
-
-    /// Parallel convenience wrapper collecting into a [`PatternSet`].
-    fn mine_par(
-        &self,
-        cdb: &CompressedDb,
-        min_support: MinSupport,
-        par: Parallelism,
-    ) -> PatternSet {
-        let mut sp = gogreen_obs::span("mine");
-        let mut sink = CollectSink::new();
-        self.mine_into_par(cdb, min_support, par, &mut sink);
-        let set = sink.into_set();
-        sp.field("engine", self.name()).field("patterns", set.len());
-        set
-    }
-}

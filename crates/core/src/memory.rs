@@ -21,8 +21,8 @@ const BYTES_PER_TAIL: usize = 16;
 /// pattern and tails.
 const BYTES_PER_GROUP: usize = 8 + 2 * std::mem::size_of::<Vec<u32>>();
 
-/// Estimated heap bytes of the RP-Struct that
-/// [`crate::recycle_hm::RecycleHm`] would build for `rdb`.
+/// Estimated heap bytes of the RP-Struct the H-Mine engine would build
+/// for `rdb`.
 pub fn estimate_rp_struct_bytes(rdb: &CompressedRankDb) -> usize {
     // The CSR sections make these whole-database sums O(1): row counts
     // and total element counts are offset-array lookups, no per-group
@@ -45,10 +45,10 @@ pub fn estimate_hmine_bytes(occurrences: usize, tuples: usize) -> usize {
 }
 
 /// Estimated heap bytes of the root tid-bitmap columns the vertical
-/// miner ([`crate::recycle_vt::RecycleVt`]) builds for `rdb`: one
-/// `⌈n/64⌉`-word column per rank, `n` the expanded tuple count. The
-/// per-node tidset arenas below the root are bounded by the same figure
-/// (a child level never materializes more columns than the root holds),
+/// engine builds for `rdb`: one `⌈n/64⌉`-word column per rank, `n` the
+/// expanded tuple count. The per-node tidset arenas below the root are
+/// bounded by the same figure (a child level never materializes more
+/// columns than the root holds),
 /// so doubling this estimate budgets the whole vertical run; the arenas
 /// report their actual usage under `alloc.projection_bytes`.
 pub fn estimate_vt_bitmap_bytes(rdb: &CompressedRankDb) -> usize {
@@ -209,12 +209,12 @@ mod tests {
     /// horizontal projection slabs.
     #[test]
     fn vt_arena_bytes_reach_the_alloc_counters() {
-        use crate::RecyclingMiner;
         let db = TransactionDb::paper_example();
         let cdb = CompressedDb::uncompressed(&db);
         gogreen_obs::metrics::reset();
         gogreen_obs::metrics::set_enabled(true);
-        let fp = crate::recycle_vt::RecycleVt::new().mine(&cdb, MinSupport::Absolute(2));
+        let fp = crate::engine::Engine::new(crate::engine::Family::Vt)
+            .mine(&cdb, MinSupport::Absolute(2));
         gogreen_obs::metrics::set_enabled(false);
         let bytes = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
         gogreen_obs::metrics::reset();

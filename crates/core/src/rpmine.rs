@@ -15,17 +15,14 @@
 //!   combinations of those items with the group's projected count — no
 //!   recursion needed.
 //!
-//! The smarter adaptations ([`crate::recycle_hm`], [`crate::recycle_fp`],
-//! [`crate::recycle_tp`]) implement the same semantics over cleverer data
-//! structures; RP-Mine doubles as their readable specification and as a
-//! differential-testing partner.
+//! The engine families ([`crate::engine`]) implement the same semantics
+//! over cleverer data structures; RP-Mine doubles as their readable
+//! specification and as a differential-testing partner.
 
 use crate::cdb::{CompressedDb, CompressedRankDb};
-use crate::RecyclingMiner;
-use gogreen_data::{MinSupport, NoPrune, PatternSet, PatternSink, SearchPrune};
+use gogreen_data::{CollectSink, MinSupport, NoPrune, PatternSet, PatternSink, SearchPrune};
 use gogreen_miners::common::{for_each_subset, RankEmitter, ScratchCounts};
 use gogreen_obs::metrics;
-use gogreen_util::pool::Parallelism;
 
 /// Per-rank contribution source, for the Lemma 3.1 check.
 const SRC_NONE: u32 = u32::MAX;
@@ -45,20 +42,15 @@ impl Default for RpMine {
     }
 }
 
-impl RecyclingMiner for RpMine {
-    fn name(&self) -> &'static str {
-        "RP-Mine"
-    }
-
-    fn mine_into(&self, cdb: &CompressedDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
-        self.mine_into_par(cdb, min_support, Parallelism::serial(), sink);
-    }
-
-    fn mine_into_par(
+impl RpMine {
+    /// Mines the complete frequent-pattern set of `cdb`'s original
+    /// database into `sink`. Deliberately serial: RP-Mine is the
+    /// readable specification of the engines, which own the parallel
+    /// fan-out.
+    pub fn mine_into(
         &self,
         cdb: &CompressedDb,
         min_support: MinSupport,
-        par: Parallelism,
         sink: &mut dyn PatternSink,
     ) {
         let minsup = min_support.to_absolute(cdb.num_tuples());
@@ -66,10 +58,6 @@ impl RecyclingMiner for RpMine {
         if flist.is_empty() {
             return;
         }
-        // RP-Mine is the readable specification and differential-testing
-        // partner of the unified engines, so it stays deliberately
-        // serial — the engines own the parallel fan-out.
-        let _ = par;
         let view = cdb.to_ranks(&flist);
         let mut ctx = Ctx {
             scratch: ScratchCounts::new(flist.len()),
@@ -80,9 +68,14 @@ impl RecyclingMiner for RpMine {
         let mut emitter = RankEmitter::new(&flist);
         mine_rec(&view, &mut ctx, &NoPrune, &mut emitter, sink);
     }
-}
 
-impl RpMine {
+    /// [`RpMine::mine_into`] collected into a [`PatternSet`].
+    pub fn mine(&self, cdb: &CompressedDb, min_support: MinSupport) -> PatternSet {
+        let mut sink = CollectSink::new();
+        self.mine_into(cdb, min_support, &mut sink);
+        sink.into_set()
+    }
+
     /// Constrained *recycling*: mines the compressed database while
     /// consulting `prune` — disallowed items are stripped from group
     /// patterns and outliers up front (supports of surviving items are
@@ -300,22 +293,6 @@ fn mine_rec(
             }
         }
         emitter.pop();
-    }
-}
-
-impl RpMine {
-    /// Compatibility wrapper over [`RecyclingMiner::mine_par`]. RP-Mine
-    /// itself runs serially regardless of `threads` (it is the readable
-    /// specification the parallel engines are differential-tested
-    /// against), so the result is trivially identical to the serial run.
-    pub fn mine_parallel(
-        &self,
-        cdb: &CompressedDb,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> PatternSet {
-        assert!(threads >= 1, "at least one thread");
-        self.mine_par(cdb, min_support, Parallelism::threads(threads))
     }
 }
 

@@ -27,13 +27,11 @@
 
 use crate::batch::{BatchOutcome, BatchQuery, QueryBatch};
 use crate::compress::{CompressionStats, Compressor};
-use crate::engine::engine_named;
+use crate::engine::{Engine, Family};
 use crate::store::PatternStore;
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_constraints::{ConstraintSet, ItemAttributes, Relation};
 use gogreen_data::{PatternSet, TransactionDb};
-use gogreen_miners::Miner;
 use gogreen_obs::{metrics, snapshot, span};
 use gogreen_util::pool::Parallelism;
 use std::time::Duration;
@@ -41,60 +39,6 @@ use std::time::Duration;
 /// The session's internal [`PatternStore`] key: one session, one
 /// database, one dataset entry.
 const SESSION_DATASET: &str = "session";
-
-/// Which algorithm family the session uses for fresh and recycled mining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// H-Mine / Recycle-HM (the paper's primary pair).
-    #[default]
-    HMine,
-    /// FP-growth / FP-recycle.
-    FpTree,
-    /// Tree Projection / TP-recycle.
-    TreeProjection,
-    /// Vertical bitmap Eclat / VT-recycle.
-    Eclat,
-    /// Naive projected-database miner / RP-Mine.
-    Naive,
-}
-
-impl Engine {
-    /// The registry key of this family (see [`crate::engine`]).
-    pub fn key(self) -> &'static str {
-        match self {
-            Engine::HMine => "hmine",
-            Engine::FpTree => "fp",
-            Engine::TreeProjection => "tp",
-            Engine::Eclat => "vt",
-            Engine::Naive => "naive",
-        }
-    }
-
-    /// Resolves a registry key or alias (`"hmine"`, `"hm"`, `"fp"`, …)
-    /// to a session engine. `None` for unknown names and for families
-    /// without a recycling pair (Apriori).
-    pub fn from_key(name: &str) -> Option<Engine> {
-        match engine_named(name)?.key() {
-            "hmine" => Some(Engine::HMine),
-            "fp" => Some(Engine::FpTree),
-            "tp" => Some(Engine::TreeProjection),
-            "vt" => Some(Engine::Eclat),
-            "naive" => Some(Engine::Naive),
-            _ => None,
-        }
-    }
-
-    fn fresh(self) -> Box<dyn Miner> {
-        engine_named(self.key()).expect("session engines are registered").raw()
-    }
-
-    fn recycling(self, par: Parallelism) -> Box<dyn RecyclingMiner> {
-        engine_named(self.key())
-            .expect("session engines are registered")
-            .recycling(par)
-            .expect("session engines have recycling pairs")
-    }
-}
 
 /// How a round was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,13 +156,12 @@ pub struct MiningSession {
 }
 
 impl MiningSession {
-    /// Starts a session with the default engine (H-Mine) and strategy
-    /// (MCP).
+    /// Starts a session with H-Mine and the MCP strategy.
     pub fn new(db: TransactionDb) -> Self {
         MiningSession {
             db,
             attrs: ItemAttributes::new(),
-            engine: Engine::default(),
+            engine: Engine::new(Family::Hm),
             strategy: Strategy::default(),
             parallelism: Parallelism::serial(),
             last: None,
@@ -227,7 +170,7 @@ impl MiningSession {
         }
     }
 
-    /// Selects the algorithm family.
+    /// Selects the engine for fresh and recycled rounds.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -311,15 +254,10 @@ impl MiningSession {
             let (cdb, stats) = Compressor::new(self.strategy)
                 .with_parallelism(self.parallelism)
                 .compress_with_stats(&self.db, &fodder);
-            let full = self.engine.recycling(self.parallelism).mine_par(
-                &cdb,
-                constraints.min_support(),
-                self.parallelism,
-            );
+            let full = self.engine.mine_par(&cdb, constraints.min_support(), self.parallelism);
             (RunMode::Recycled, full, Some(stats), Some(fodder.len()))
         } else {
-            let full =
-                self.engine.fresh().mine_par(&self.db, constraints.min_support(), self.parallelism);
+            let full = self.engine.mine_par(&self.db, constraints.min_support(), self.parallelism);
             (RunMode::Fresh, full, None, None)
         };
         let answer = if constraints.others().is_empty() {
@@ -359,11 +297,12 @@ impl MiningSession {
     pub fn run_batch(&mut self, queries: Vec<BatchQuery>) -> Result<BatchOutcome, String> {
         let mut batch = QueryBatch::new()
             .with_attributes(self.attrs.clone())
-            .with_parallelism(self.parallelism);
+            .with_parallelism(self.parallelism)
+            .with_engine_opts(self.engine.opts);
         for q in queries {
             batch.push(q);
         }
-        batch.run_with_store(&self.db, self.engine.key(), &self.store, SESSION_DATASET)
+        batch.run_with_store(&self.db, self.engine.family.key(), &self.store, SESSION_DATASET)
     }
 
     /// Forgets all previous rounds (the next run mines fresh).
@@ -417,9 +356,7 @@ mod tests {
     fn all_engines_agree_across_a_session() {
         let db = TransactionDb::paper_example();
         let oracle2 = mine_apriori(&db, MinSupport::Absolute(2));
-        for engine in
-            [Engine::HMine, Engine::FpTree, Engine::TreeProjection, Engine::Eclat, Engine::Naive]
-        {
+        for engine in Family::ALL.map(Engine::new) {
             let mut s = MiningSession::new(db.clone()).with_engine(engine);
             s.run(cs(4));
             let relaxed = s.run(cs(2));
@@ -510,7 +447,7 @@ mod tests {
     #[test]
     fn threaded_session_matches_serial() {
         let db = TransactionDb::paper_example();
-        for engine in [Engine::HMine, Engine::FpTree, Engine::Eclat, Engine::Naive] {
+        for engine in [Family::Hm, Family::Fp, Family::Vt].map(Engine::new) {
             let mut serial = MiningSession::new(db.clone()).with_engine(engine);
             let mut threaded = MiningSession::new(db.clone()).with_engine(engine).with_threads(4);
             serial.run(cs(3));

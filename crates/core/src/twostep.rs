@@ -15,12 +15,14 @@
 //! `repro ablation` extension experiment).
 
 use crate::compress::{CompressionStats, Compressor};
-use crate::recycle_hm::RecycleHm;
+use crate::engine::{Engine, Family};
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_data::{CollectSink, MinSupport, PatternSet, PatternSink, TransactionDb};
-use gogreen_miners::{mine_hmine, Miner};
+use gogreen_util::pool::Parallelism;
 use std::time::Duration;
+
+/// Both steps (and the single-step baseline) mine with H-Mine.
+const HM: Engine = Engine::new(Family::Hm);
 
 /// Phase timings of a two-step run.
 #[derive(Debug, Clone)]
@@ -50,11 +52,11 @@ impl TwoStepReport {
 /// ```
 /// use gogreen_core::twostep::TwoStepMiner;
 /// use gogreen_data::{MinSupport, TransactionDb};
-/// use gogreen_miners::mine_hmine;
+/// use gogreen_miners::mine_apriori;
 ///
 /// let db = TransactionDb::paper_example();
 /// let (patterns, report) = TwoStepMiner::new().mine(&db, MinSupport::Absolute(2));
-/// assert!(patterns.same_patterns_as(&mine_hmine(&db, MinSupport::Absolute(2))));
+/// assert!(patterns.same_patterns_as(&mine_apriori(&db, MinSupport::Absolute(2))));
 /// assert!(report.intermediate.to_absolute(db.len()) > 2);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -111,11 +113,11 @@ impl TwoStepMiner {
     ) -> TwoStepReport {
         let intermediate = self.intermediate_for(target, db.len());
         let start = std::time::Instant::now();
-        let bootstrap = mine_hmine(db, intermediate);
+        let bootstrap = HM.mine(db, intermediate);
         let bootstrap_time = start.elapsed();
         let (cdb, compression) = Compressor::new(self.strategy).compress_with_stats(db, &bootstrap);
         let start = std::time::Instant::now();
-        RecycleHm.mine_into(&cdb, target, sink);
+        HM.mine_into(&cdb, target, Parallelism::serial(), sink);
         let mining_time = start.elapsed();
         TwoStepReport {
             intermediate,
@@ -137,7 +139,7 @@ impl TwoStepMiner {
     /// target).
     pub fn single_step(db: &TransactionDb, target: MinSupport) -> (PatternSet, Duration) {
         let start = std::time::Instant::now();
-        let fp = gogreen_miners::HMine.mine(db, target);
+        let fp = HM.mine(db, target);
         (fp, start.elapsed())
     }
 }

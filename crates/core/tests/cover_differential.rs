@@ -7,11 +7,11 @@
 //! in-repo PRNG; the case index in a failure message replays the input.
 
 use gogreen_core::compress::Compressor;
-use gogreen_core::recycle_fp::RecycleFp;
+use gogreen_core::engine::{Engine, Family};
 use gogreen_core::utility::Strategy;
-use gogreen_core::RecyclingMiner;
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
 use gogreen_miners::mine_apriori;
+use gogreen_util::pool::Parallelism;
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -79,8 +79,11 @@ fn recycled_output_of_indexed_cover_mines_exactly() {
         let strategy = if rng.gen_bool(0.5) { Strategy::Mlp } else { Strategy::Mcp };
         let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(strategy).with_threads(threads).compress(&db, &fp_old);
-        let got =
-            RecycleFp::default().with_threads(threads).mine(&cdb, MinSupport::Absolute(xi_new));
+        let got = Engine::new(Family::Fp).mine_par(
+            &cdb,
+            MinSupport::Absolute(xi_new),
+            Parallelism::threads(threads),
+        );
         let want = mine_apriori(&db, MinSupport::Absolute(xi_new));
         assert!(
             got.same_patterns_as(&want),

@@ -8,14 +8,12 @@
 //! replays the exact input.
 
 use gogreen_core::compress::Compressor;
-use gogreen_core::recycle_fp::RecycleFp;
-use gogreen_core::recycle_hm::RecycleHm;
-use gogreen_core::recycle_tp::RecycleTp;
+use gogreen_core::engine::{Engine, Family};
 use gogreen_core::rpmine::RpMine;
 use gogreen_core::utility::Strategy;
-use gogreen_core::RecyclingMiner;
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
 use gogreen_miners::mine_apriori;
+use gogreen_util::pool::Parallelism;
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -71,17 +69,17 @@ fn rpmine_is_exact() {
 
 #[test]
 fn recycle_hm_is_exact() {
-    check_exact("recycle_hm", 0x48e1_0000, |cdb, ms| RecycleHm.mine(cdb, ms));
+    check_exact("recycle_hm", 0x48e1_0000, |cdb, ms| Engine::new(Family::Hm).mine(cdb, ms));
 }
 
 #[test]
 fn recycle_fp_is_exact() {
-    check_exact("recycle_fp", 0x48f9_0000, |cdb, ms| RecycleFp::default().mine(cdb, ms));
+    check_exact("recycle_fp", 0x48f9_0000, |cdb, ms| Engine::new(Family::Fp).mine(cdb, ms));
 }
 
 #[test]
 fn recycle_tp_is_exact() {
-    check_exact("recycle_tp", 0x4879_0000, |cdb, ms| RecycleTp.mine(cdb, ms));
+    check_exact("recycle_tp", 0x4879_0000, |cdb, ms| Engine::new(Family::Tp).mine(cdb, ms));
 }
 
 #[test]
@@ -103,18 +101,23 @@ fn compression_is_lossless() {
 /// Parallel recycled mining partitions first-level subtrees across
 /// workers; any thread count must produce the sequential answer.
 #[test]
-fn parallel_rpmine_is_exact() {
+fn parallel_recycled_mining_is_exact() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0x9a2a_11e1 + case);
         let (db, xi_old, xi_new, _) = scenario(&mut rng);
         let threads = 1 + rng.gen_index(4);
         let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        let got = RpMine::default().mine_parallel(&cdb, MinSupport::Absolute(xi_new), threads);
+        let family = Family::ALL[case as usize % Family::ALL.len()];
+        let got = Engine::new(family).mine_par(
+            &cdb,
+            MinSupport::Absolute(xi_new),
+            Parallelism::threads(threads),
+        );
         let want = mine_apriori(&db, MinSupport::Absolute(xi_new));
         assert!(
             got.same_patterns_as(&want),
-            "case {case} threads={threads}: got {} want {}",
+            "case {case} {family:?} threads={threads}: got {} want {}",
             got.len(),
             want.len()
         );

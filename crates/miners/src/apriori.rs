@@ -11,8 +11,7 @@
 //! enough to audit, and every other miner — baselines and recycling
 //! variants alike — is tested for pattern-for-pattern agreement with it.
 
-use crate::Miner;
-use gogreen_data::{Item, MinSupport, PatternSink, TransactionDb};
+use gogreen_data::{CollectSink, Item, MinSupport, PatternSet, PatternSink, TransactionDb};
 use gogreen_obs::metrics;
 use gogreen_util::FxHashSet;
 
@@ -27,12 +26,14 @@ struct LevelEntry {
     tids: Vec<u32>,
 }
 
-impl Miner for Apriori {
-    fn name(&self) -> &'static str {
-        "Apriori"
-    }
-
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
+impl Apriori {
+    /// Mines the complete frequent-pattern set of `db` into `sink`.
+    pub fn mine_into(
+        &self,
+        db: &TransactionDb,
+        min_support: MinSupport,
+        sink: &mut dyn PatternSink,
+    ) {
         let minsup = min_support.to_absolute(db.len());
         // L1: frequent items with their tidlists.
         let supports = db.item_supports();
@@ -102,6 +103,13 @@ impl Miner for Apriori {
             level = next;
         }
     }
+
+    /// [`Apriori::mine_into`] collected into a [`PatternSet`].
+    pub fn mine(&self, db: &TransactionDb, min_support: MinSupport) -> PatternSet {
+        let mut sink = CollectSink::new();
+        self.mine_into(db, min_support, &mut sink);
+        sink.into_set()
+    }
 }
 
 /// Apriori pruning: every (k−1)-subset of `cand` must be in `prev`.
@@ -144,7 +152,6 @@ fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gogreen_data::PatternSet;
 
     fn mine(db: &TransactionDb, minsup: u64) -> PatternSet {
         Apriori.mine(db, MinSupport::Absolute(minsup))

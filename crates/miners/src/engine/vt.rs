@@ -287,18 +287,6 @@ fn choose_repr(forced: VtRepr, parent: Repr, sup_a: u64, kc: u64, sum: u64, widt
     }
 }
 
-/// Mines `src` against `flist` at the absolute threshold `minsup` in
-/// the default [`VtRepr::Auto`] mode. See [`mine_source_par_repr`].
-pub fn mine_source_par<S: GroupedSource>(
-    src: &S,
-    flist: &FList,
-    minsup: u64,
-    par: Parallelism,
-    sink: &mut dyn PatternSink,
-) {
-    mine_source_par_repr(src, flist, minsup, par, VtRepr::Auto, sink);
-}
-
 /// Mines `src` against `flist` at the absolute threshold `minsup` under
 /// representation mode `repr`, the root extensions fanned out over
 /// `par` scoped threads. The emitted stream is byte-identical for any
@@ -763,4 +751,82 @@ fn vt_extend(
     }
     emitter.pop();
     ctx.levels[depth] = lvl;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Engine, Family};
+    use crate::mine_apriori;
+    use gogreen_data::{FnSink, Item, MinSupport, Transaction, TransactionDb};
+    use gogreen_util::rng::{Rng, SmallRng};
+    use std::collections::BTreeSet;
+
+    const VT: Engine = Engine::new(Family::Vt);
+
+    #[test]
+    fn bound_prune_fires_and_stays_exact() {
+        // Rows chosen so the {1}-conditional node has exactly one
+        // frequent pair whose support is below both member supports:
+        // not an inclusion chain, and candidate_bound(1, 2) == 0
+        // terminates the node without materializing a child tidset.
+        let db = TransactionDb::from_rows(&[&[1, 2, 3][..], &[1, 2, 3], &[1, 2], &[1, 3], &[2, 3]]);
+        let oracle = mine_apriori(&db, MinSupport::Absolute(2));
+        metrics::reset();
+        metrics::set_enabled(true);
+        let vt = VT.mine(&db, MinSupport::Absolute(2));
+        metrics::set_enabled(false);
+        let prunes = metrics::get("mine.bound_prunes").unwrap_or(0);
+        let words = metrics::get("mine.bitmap_words_scanned").unwrap_or(0);
+        metrics::reset();
+        assert!(vt.same_patterns_as(&oracle));
+        assert!(prunes >= 1, "bound prune did not fire");
+        assert!(words >= 1, "bitmap kernel counter missing");
+    }
+
+    /// Random databases: 1..40 tuples of 1..10 distinct items over 0..18.
+    fn random_db(rng: &mut SmallRng) -> TransactionDb {
+        let rows = 1 + rng.gen_index(39);
+        let mut txs = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let len = 1 + rng.gen_index(9);
+            let mut set = BTreeSet::new();
+            for _ in 0..len {
+                set.insert(rng.gen_below(18) as u32);
+            }
+            txs.push(Transaction::from_ids(set));
+        }
+        TransactionDb::from_transactions(txs)
+    }
+
+    #[test]
+    fn matches_oracle_on_random_databases() {
+        for case in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(0x7e5a_1000 + case);
+            let db = random_db(&mut rng);
+            let minsup = 1 + rng.gen_below(7);
+            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
+            let vt = VT.mine(&db, MinSupport::Absolute(minsup));
+            assert!(vt.same_patterns_as(&oracle), "case={case} minsup={minsup}");
+        }
+    }
+
+    #[test]
+    fn parallel_stream_is_byte_identical() {
+        let mut rng = SmallRng::seed_from_u64(0x7e5a_2000);
+        let db = random_db(&mut rng);
+        let stream = |par: Parallelism| {
+            let mut out: Vec<(Vec<Item>, u64)> = Vec::new();
+            {
+                let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
+                VT.mine_into(&db, MinSupport::Absolute(2), par, &mut sink);
+            }
+            out
+        };
+        let serial = stream(Parallelism::serial());
+        assert!(!serial.is_empty());
+        for threads in [2, 4, 8] {
+            assert_eq!(serial, stream(Parallelism::threads(threads)), "{threads} threads");
+        }
+    }
 }

@@ -8,24 +8,15 @@
 //! path short-circuits into subset enumeration — the structural ancestor
 //! of the paper's Lemma 3.1.
 //!
-//! [`FpTree`] is public: the conditional-group engine
-//! ([`crate::engine::fp`]) uses it both as the per-group outlier store of
-//! a compressed database and, through the degenerate
-//! [`gogreen_data::PlainRanks`] substrate this type instantiates it with,
-//! as the classic global FP-tree.
+//! The traversal lives in [`crate::engine::fp`]; this module keeps the
+//! [`FpTree`] it builds, both as the per-group outlier store of a
+//! compressed database and, on the degenerate
+//! [`gogreen_data::PlainRanks`] substrate, as the classic global FP-tree.
 
-use crate::common::encode_db;
-use crate::Miner;
-use gogreen_data::{FList, MinSupport, PatternSink, PlainRanks, TransactionDb};
 use gogreen_obs::metrics;
-use gogreen_util::pool::Parallelism;
 
 /// Arena/link sentinel shared by all FP-tree fields.
 pub const FP_NIL: u32 = u32::MAX;
-
-/// The FP-growth algorithm.
-#[derive(Debug, Default, Clone)]
-pub struct FpGrowth;
 
 /// One header-table row of an [`FpTree`].
 #[derive(Debug, Clone, Copy)]
@@ -231,95 +222,9 @@ impl FpTreeBuilder {
     }
 }
 
-impl Miner for FpGrowth {
-    fn name(&self) -> &'static str {
-        "FP-growth"
-    }
-
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
-        self.mine_into_par(db, min_support, Parallelism::serial(), sink);
-    }
-
-    fn mine_into_par(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
-        let minsup = min_support.to_absolute(db.len());
-        let flist = FList::from_db(db, minsup);
-        if flist.is_empty() {
-            return;
-        }
-        let tuples = encode_db(db, &flist);
-        let src = PlainRanks::from_csr(&tuples, flist.len());
-        crate::engine::fp::mine_source_par(&src, &flist, minsup, par, sink);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine_apriori;
-    use gogreen_data::Item;
-
-    #[test]
-    fn matches_oracle_on_paper_example_all_thresholds() {
-        let db = TransactionDb::paper_example();
-        for minsup in 1..=5 {
-            let fp = FpGrowth.mine(&db, MinSupport::Absolute(minsup));
-            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
-            assert!(fp.same_patterns_as(&oracle), "minsup={minsup}");
-        }
-    }
-
-    #[test]
-    fn single_path_shortcut_is_exact() {
-        // Identical tuples build a single-path tree at the root.
-        let db = TransactionDb::from_rows(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4]]);
-        let fp = FpGrowth.mine(&db, MinSupport::Absolute(2));
-        assert_eq!(fp.len(), 15);
-        assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3), Item(4)]), Some(3));
-    }
-
-    #[test]
-    fn single_path_with_varying_counts() {
-        // Path counts decrease down the tree: subset supports must take
-        // the minimum along the chosen elements.
-        let db = TransactionDb::from_rows(&[&[1, 2, 3], &[1, 2, 3], &[1, 2], &[1]]);
-        let fp = FpGrowth.mine(&db, MinSupport::Absolute(1));
-        assert_eq!(fp.support_of(&[Item(1)]), Some(4));
-        assert_eq!(fp.support_of(&[Item(1), Item(2)]), Some(3));
-        assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3)]), Some(2));
-        let oracle = mine_apriori(&db, MinSupport::Absolute(1));
-        assert!(fp.same_patterns_as(&oracle));
-    }
-
-    #[test]
-    fn branching_tree_regression() {
-        let db = TransactionDb::from_rows(&[
-            &[1, 2, 5],
-            &[2, 4],
-            &[2, 3],
-            &[1, 2, 4],
-            &[1, 3],
-            &[2, 3],
-            &[1, 3],
-            &[1, 2, 3, 5],
-            &[1, 2, 3],
-        ]);
-        for minsup in 1..=5 {
-            let fp = FpGrowth.mine(&db, MinSupport::Absolute(minsup));
-            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
-            assert!(fp.same_patterns_as(&oracle), "minsup={minsup}");
-        }
-    }
-
-    #[test]
-    fn empty_db() {
-        assert!(FpGrowth.mine(&TransactionDb::new(), MinSupport::Absolute(1)).is_empty());
-    }
 
     #[test]
     fn tree_structure_shares_prefixes() {

@@ -1,143 +1,50 @@
 #![warn(missing_docs)]
 
-//! Baseline frequent-pattern miners.
+//! Frequent-pattern mining engines.
 //!
 //! The paper adapts three representative *projected-database* miners —
 //! H-Mine, FP-tree (FP-growth) and Tree Projection — to run on compressed
-//! databases. This crate implements those three baselines faithfully, plus
-//! two reference miners:
+//! databases. [`engine`] holds each of them once, generic over the
+//! `GroupedSource` substrate, plus a fourth *vertical* family (Eclat:
+//! tidset bitmaps mined by word-wise AND + popcount, with extension
+//! levels pre-sized and terminated by the Kruskal–Katona candidate upper
+//! bound of [`bound`]). One [`engine::Engine`] value — a
+//! [`engine::Family`] plus its options — mines a plain database here and
+//! a compressed one in `gogreen-core`.
+//!
+//! Two reference miners stay outside the engine table, for tests and
+//! the experiment harness:
 //!
 //! * [`apriori`] — the classic level-wise algorithm, used across the
 //!   workspace as the correctness oracle;
 //! * [`naive`] — the plain recursive projected-database miner, the
 //!   skeleton the paper's Definition 3.2/3.3 framework describes.
 //!
-//! A fourth *vertical* family, [`eclat`], mines tidset bitmaps by
-//! word-wise AND + popcount instead of walking tuples, with extension
-//! levels pre-sized and terminated by the Kruskal–Katona candidate
-//! upper bound of [`bound`].
-//!
-//! All miners implement [`Miner`] and produce the *complete* set of
-//! frequent patterns; the test suites assert they agree pattern-for-pattern
-//! on random databases.
-//!
-//! The three projected-database traversals live in [`engine`], written
-//! once per family over the `GroupedSource` substrate abstraction; the
-//! types here instantiate them on the degenerate all-plain view, and the
-//! recycling miners in `gogreen-core` instantiate the same code on real
-//! compressed databases. The `mine_*` free functions below are thin
-//! convenience wrappers over those unified engines and are kept stable
-//! for examples and external callers.
+//! [`fpgrowth::FpTree`] and [`treeproj::PairMatrix`] are the node
+//! structures the engines share.
 
 pub mod apriori;
 pub mod bound;
 pub mod common;
-pub mod eclat;
 pub mod engine;
 pub mod fpgrowth;
-pub mod hmine;
 pub mod naive;
 pub mod treeproj;
 
-use gogreen_data::{CollectSink, MinSupport, PatternSet, PatternSink, TransactionDb};
-use gogreen_util::pool::Parallelism;
+use gogreen_data::{MinSupport, PatternSet, TransactionDb};
 
 pub use apriori::Apriori;
-pub use eclat::Eclat;
-pub use fpgrowth::FpGrowth;
-pub use hmine::HMine;
 pub use naive::NaiveProjection;
-pub use treeproj::TreeProjection;
-
-/// A frequent-pattern mining algorithm over plain transaction databases.
-///
-/// ```
-/// use gogreen_miners::{Miner, HMine, FpGrowth};
-/// use gogreen_data::{MinSupport, TransactionDb};
-///
-/// let db = TransactionDb::paper_example();
-/// let a = HMine.mine(&db, MinSupport::Absolute(3));
-/// let b = FpGrowth.mine(&db, MinSupport::Absolute(3));
-/// assert!(a.same_patterns_as(&b));
-/// assert_eq!(a.len(), 11);
-/// ```
-pub trait Miner {
-    /// Short algorithm name for reports ("H-Mine", "FP-growth", …).
-    fn name(&self) -> &'static str;
-
-    /// Mines the complete set of frequent patterns of `db` at
-    /// `min_support`, emitting each pattern exactly once into `sink`.
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink);
-
-    /// Like [`Miner::mine_into`], mining the first-level projections on
-    /// `par` scoped threads where the algorithm supports it. The emitted
-    /// stream is byte-identical to the serial run at any thread count;
-    /// miners without a parallel driver (Apriori, the naive baseline)
-    /// fall back to the serial path.
-    fn mine_into_par(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
-        let _ = par;
-        self.mine_into(db, min_support, sink);
-    }
-
-    /// Convenience wrapper collecting the result into a [`PatternSet`].
-    fn mine(&self, db: &TransactionDb, min_support: MinSupport) -> PatternSet {
-        self.mine_par(db, min_support, Parallelism::serial())
-    }
-
-    /// Parallel convenience wrapper collecting into a [`PatternSet`].
-    fn mine_par(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        par: Parallelism,
-    ) -> PatternSet {
-        let mut sp = gogreen_obs::span("mine");
-        let mut sink = CollectSink::new();
-        self.mine_into_par(db, min_support, par, &mut sink);
-        let set = sink.into_set();
-        sp.field("engine", self.name()).field("patterns", set.len());
-        set
-    }
-}
 
 /// Mines with [`Apriori`] (correctness oracle; slowest).
 pub fn mine_apriori(db: &TransactionDb, min_support: MinSupport) -> PatternSet {
     Apriori.mine(db, min_support)
 }
 
-/// Mines with [`HMine`] (a thin wrapper over the unified
-/// [`engine::hm`] traversal on the plain substrate).
-pub fn mine_hmine(db: &TransactionDb, min_support: MinSupport) -> PatternSet {
-    HMine.mine(db, min_support)
-}
-
-/// Mines with [`FpGrowth`] (a thin wrapper over the unified
-/// [`engine::fp`] traversal on the plain substrate).
-pub fn mine_fpgrowth(db: &TransactionDb, min_support: MinSupport) -> PatternSet {
-    FpGrowth.mine(db, min_support)
-}
-
-/// Mines with [`TreeProjection`] (a thin wrapper over the unified
-/// [`engine::tp`] traversal on the plain substrate).
-pub fn mine_treeproj(db: &TransactionDb, min_support: MinSupport) -> PatternSet {
-    TreeProjection.mine(db, min_support)
-}
-
-/// Mines with [`Eclat`] (a thin wrapper over the unified vertical
-/// [`engine::vt`] traversal on the plain substrate).
-pub fn mine_eclat(db: &TransactionDb, min_support: MinSupport) -> PatternSet {
-    Eclat::new().mine(db, min_support)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Family};
 
     /// Every miner on the paper's Table 1 example at ξ = 3 must produce
     /// exactly the `FP` set of the paper's Example 1.
@@ -145,20 +52,18 @@ mod tests {
     fn all_miners_reproduce_paper_example_1() {
         // a=0,b=1,c=2,d=3,e=4,f=5,g=6,h=7,i=8
         let db = TransactionDb::paper_example();
-        let miners: Vec<Box<dyn Miner>> = vec![
-            Box::new(Apriori),
-            Box::new(NaiveProjection),
-            Box::new(HMine),
-            Box::new(FpGrowth),
-            Box::new(TreeProjection),
-            Box::new(Eclat::new()),
+        let mut runs = vec![
+            ("Apriori", Apriori.mine(&db, MinSupport::Absolute(3))),
+            ("NaiveProjection", NaiveProjection.mine(&db, MinSupport::Absolute(3))),
         ];
-        for m in &miners {
-            let fp = m.mine(&db, MinSupport::Absolute(3));
+        for f in Family::ALL {
+            runs.push((f.name(), Engine::new(f).mine(&db, MinSupport::Absolute(3))));
+        }
+        for (name, fp) in &runs {
             // The paper's Example 1 lists 10 patterns but omits fc:3 — a
             // typo, since fc ⊂ fgc:3 must be frequent by anti-monotonicity.
             // The complete set has 11 patterns.
-            assert_eq!(fp.len(), 11, "{} pattern count", m.name());
+            assert_eq!(fp.len(), 11, "{name} pattern count");
             let expect: &[(&[u32], u64)] = &[
                 (&[5], 3),       // f
                 (&[5, 6], 3),    // fg
@@ -174,7 +79,7 @@ mod tests {
             ];
             for &(ids, sup) in expect {
                 let items: Vec<_> = ids.iter().map(|&i| gogreen_data::Item(i)).collect();
-                assert_eq!(fp.support_of(&items), Some(sup), "{}: {:?}", m.name(), ids);
+                assert_eq!(fp.support_of(&items), Some(sup), "{name}: {ids:?}");
             }
         }
     }
@@ -190,14 +95,10 @@ mod tests {
         assert_eq!(oracle.support_of(&it(&[2, 3, 5, 6])), Some(2)); // dcfg
         assert_eq!(oracle.support_of(&it(&[3, 5])), Some(2)); // df
         assert_eq!(oracle.support_of(&it(&[0, 2, 4])), Some(2)); // ace
-        for m in [
-            mine_hmine(&db, MinSupport::Absolute(2)),
-            mine_fpgrowth(&db, MinSupport::Absolute(2)),
-            mine_treeproj(&db, MinSupport::Absolute(2)),
-            mine_eclat(&db, MinSupport::Absolute(2)),
-            NaiveProjection.mine(&db, MinSupport::Absolute(2)),
-        ] {
-            assert!(m.same_patterns_as(&oracle));
+        for f in Family::ALL {
+            let got = Engine::new(f).mine(&db, MinSupport::Absolute(2));
+            assert!(got.same_patterns_as(&oracle), "{f:?}");
         }
+        assert!(NaiveProjection.mine(&db, MinSupport::Absolute(2)).same_patterns_as(&oracle));
     }
 }

@@ -9,27 +9,35 @@
 //! documentation and as a second oracle.
 
 use crate::common::{encode_db_pruned, RankEmitter, ScratchCounts};
-use crate::Miner;
 use gogreen_data::projected::RankDb;
-use gogreen_data::{FList, MinSupport, NoPrune, PatternSink, SearchPrune, TransactionDb};
+use gogreen_data::{
+    CollectSink, FList, MinSupport, NoPrune, PatternSet, PatternSink, SearchPrune, TransactionDb,
+};
 use gogreen_obs::metrics;
 
 /// Reference projected-database miner.
 #[derive(Debug, Default, Clone)]
 pub struct NaiveProjection;
 
-impl Miner for NaiveProjection {
-    fn name(&self) -> &'static str {
-        "NaiveProjection"
-    }
-
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
+impl NaiveProjection {
+    /// Mines the complete frequent-pattern set of `db` into `sink`.
+    pub fn mine_into(
+        &self,
+        db: &TransactionDb,
+        min_support: MinSupport,
+        sink: &mut dyn PatternSink,
+    ) {
         self.mine_pruned(db, min_support, &NoPrune, sink);
     }
-}
 
-impl NaiveProjection {
-    /// Constrained mining: like [`Miner::mine_into`] but consulting
+    /// [`NaiveProjection::mine_into`] collected into a [`PatternSet`].
+    pub fn mine(&self, db: &TransactionDb, min_support: MinSupport) -> PatternSet {
+        let mut sink = CollectSink::new();
+        self.mine_into(db, min_support, &mut sink);
+        sink.into_set()
+    }
+
+    /// Constrained mining: like [`NaiveProjection::mine_into`] but consulting
     /// `prune` to skip disallowed items and abandon subtrees whose
     /// prefix violates a pushed anti-monotone predicate. Emits exactly
     /// the frequent patterns passing the pushed checks.

@@ -4,9 +4,8 @@
 //! Cases come from a seeded in-repo PRNG for deterministic replay.
 
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
-use gogreen_miners::{
-    mine_apriori, mine_eclat, mine_fpgrowth, mine_hmine, mine_treeproj, Miner, NaiveProjection,
-};
+use gogreen_miners::engine::{Engine, Family};
+use gogreen_miners::{mine_apriori, NaiveProjection};
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -47,17 +46,17 @@ fn check_against_oracle(
 
 #[test]
 fn hmine_matches_oracle() {
-    check_against_oracle("hmine", 0x6a3e_0001, mine_hmine);
+    check_against_oracle("hmine", 0x6a3e_0001, |db, ms| Engine::new(Family::Hm).mine(db, ms));
 }
 
 #[test]
 fn fpgrowth_matches_oracle() {
-    check_against_oracle("fpgrowth", 0x6a3e_0002, mine_fpgrowth);
+    check_against_oracle("fpgrowth", 0x6a3e_0002, |db, ms| Engine::new(Family::Fp).mine(db, ms));
 }
 
 #[test]
 fn treeproj_matches_oracle() {
-    check_against_oracle("treeproj", 0x6a3e_0003, mine_treeproj);
+    check_against_oracle("treeproj", 0x6a3e_0003, |db, ms| Engine::new(Family::Tp).mine(db, ms));
 }
 
 #[test]
@@ -67,7 +66,7 @@ fn naive_matches_oracle() {
 
 #[test]
 fn eclat_matches_oracle() {
-    check_against_oracle("eclat", 0x6a3e_0005, mine_eclat);
+    check_against_oracle("eclat", 0x6a3e_0005, |db, ms| Engine::new(Family::Vt).mine(db, ms));
 }
 
 /// Anti-monotonicity of the output itself: every subset-closed property
@@ -78,7 +77,7 @@ fn output_is_subset_closed() {
         let mut rng = SmallRng::seed_from_u64(0x5b5e_7c10 + case);
         let db = random_db(&mut rng);
         let minsup = 1 + rng.gen_below(5);
-        let got = mine_fpgrowth(&db, MinSupport::Absolute(minsup));
+        let got = Engine::new(Family::Fp).mine(&db, MinSupport::Absolute(minsup));
         for p in got.iter() {
             if p.len() >= 2 {
                 // Dropping any one item keeps it frequent with >= support.
@@ -104,8 +103,8 @@ fn relative_threshold_equivalence() {
         let pct = 1 + rng.gen_below(99);
         let rel = MinSupport::Relative(pct as f64 / 100.0);
         let abs = MinSupport::Absolute(rel.to_absolute(db.len()));
-        let a = mine_hmine(&db, rel);
-        let b = mine_hmine(&db, abs);
+        let a = Engine::new(Family::Hm).mine(&db, rel);
+        let b = Engine::new(Family::Hm).mine(&db, abs);
         assert!(a.same_patterns_as(&b), "case {case} pct={pct}");
     }
 }

@@ -295,9 +295,6 @@ pub fn to_jsonl() -> String {
 mod tests {
     use super::*;
 
-    /// Process-global state: serialize tests touching it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn bucketing_is_bit_length() {
         assert_eq!(bucket_of(0), 0);
@@ -341,7 +338,7 @@ mod tests {
 
     #[test]
     fn disabled_observations_record_nothing() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         metrics::set_enabled(false);
         observe("test.hist_disabled", 5);
@@ -350,16 +347,21 @@ mod tests {
 
     #[test]
     fn sharded_observations_merge_order_free() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         metrics::set_enabled(true);
         std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                scope.spawn(move || {
-                    for i in 0..100u64 {
-                        observe("test.hist_sharded", t * 100 + i);
-                    }
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    scope.spawn(move || {
+                        for i in 0..100u64 {
+                            observe("test.hist_sharded", t * 100 + i);
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().expect("worker panicked");
             }
         });
         metrics::set_enabled(false);
@@ -383,7 +385,7 @@ mod tests {
 
     #[test]
     fn jsonl_lists_nonempty_buckets_only() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         metrics::set_enabled(true);
         observe("test.hist_jsonl", 6);

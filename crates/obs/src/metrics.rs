@@ -24,10 +24,12 @@
 //! Updates land in a per-thread shard (a plain hash map — no atomics, no
 //! locks on the hot path) and merge into the global registry when the
 //! thread exits; [`snapshot`] additionally merges the calling thread's
-//! shard so the main thread always sees its own writes. The worker
-//! threads of `gogreen_util::pool` are scoped and terminate before the
-//! fork-join call returns, so their shards are merged by the time the
-//! caller can observe anything.
+//! shard so the main thread always sees its own writes. The merge runs
+//! in a thread-local destructor, and `std::thread::scope`'s implicit
+//! join does not wait for those: a caller must join every worker handle
+//! explicitly before it reads the registry. `gogreen_util::pool` does,
+//! so its workers' shards are merged by the time the fork-join call
+//! returns.
 //!
 //! # Overhead
 //!
@@ -219,13 +221,14 @@ pub fn to_jsonl() -> String {
     out
 }
 
+/// The metrics, histogram, profile and trace state is process-global,
+/// so every test in this crate that touches it holds this one lock.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The registry is process-global, so tests in this module serialize
-    /// themselves on one lock to avoid cross-talk.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_updates_record_nothing() {
@@ -259,13 +262,18 @@ mod tests {
         reset();
         set_enabled(true);
         std::thread::scope(|scope| {
-            for t in 0..4 {
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        add("test.sharded", 1);
-                    }
-                    set_max("test.depth", 10 + t);
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    scope.spawn(move || {
+                        for _ in 0..100 {
+                            add("test.sharded", 1);
+                        }
+                        set_max("test.depth", 10 + t);
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().expect("worker panicked");
             }
         });
         assert_eq!(get("test.sharded"), Some(400));

@@ -188,12 +188,9 @@ mod tests {
     use super::*;
     use crate::span;
 
-    /// Profile state is process-global; serialize the tests touching it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_spans_record_no_profile() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         reset();
         {
@@ -204,7 +201,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_paths_and_self_times_telescope() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         set_enabled(true);
         {
@@ -232,7 +229,7 @@ mod tests {
 
     #[test]
     fn repeated_calls_accumulate() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         set_enabled(true);
         for _ in 0..3 {
@@ -245,7 +242,7 @@ mod tests {
 
     #[test]
     fn collapsed_and_table_render() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         record_raw("a", 1, 10, 4);
         record_raw("a;b", 2, 6, 6);
@@ -260,7 +257,7 @@ mod tests {
 
     #[test]
     fn distinct_prefix_names_do_not_alias_subtrees() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         record_raw("mine", 1, 10, 10);
         record_raw("miner_extra", 1, 99, 99);

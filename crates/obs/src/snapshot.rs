@@ -136,12 +136,9 @@ pub fn emit(label: &str, snap: &MetricsSnapshot) {
 mod tests {
     use super::*;
 
-    /// Snapshots read process-global registries; serialize these tests.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn delta_subtracts_counters_and_buckets_keeps_maxes() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         metrics::reset();
         histogram::reset();
         metrics::set_enabled(true);
@@ -169,7 +166,7 @@ mod tests {
 
     #[test]
     fn json_shape_groups_by_kind() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         metrics::reset();
         histogram::reset();
         metrics::set_enabled(true);
@@ -195,7 +192,7 @@ mod tests {
 
     #[test]
     fn exporter_receives_emits_until_taken() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _ = take_exporter();
         let seen = std::sync::Arc::new(Mutex::new(Vec::<String>::new()));
         let sink = seen.clone();

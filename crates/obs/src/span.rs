@@ -207,12 +207,9 @@ mod tests {
         }
     }
 
-    /// Tracing state is process-global; serialize the tests touching it.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
     #[test]
     fn disabled_spans_emit_nothing() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _ = take_trace_writer();
         let mut sp = span("quiet");
         sp.field("x", 1u64);
@@ -224,7 +221,7 @@ mod tests {
 
     #[test]
     fn nested_spans_carry_parent_links_and_fields() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::metrics::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let buf = Arc::new(StdMutex::new(Vec::new()));
         set_trace_writer(Box::new(Buf(buf.clone())));
         {

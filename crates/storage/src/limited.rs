@@ -8,21 +8,27 @@
 //! are that pair:
 //!
 //! * [`LimitedHMine`] — plain databases, H-Mine in memory.
-//! * [`LimitedRecycleHm`] — compressed databases, Recycle-HM in memory.
+//! * [`LimitedRecycledHMine`] — compressed databases, H-Mine on the
+//!   compressed substrate (Recycle-HM) in memory.
 //!   Spilled partitions keep their group structure (one group record per
 //!   partition), so the recycling savings survive the disk round-trip.
+//!
+//! Both call the H-Mine traversal ([`hm::mine_source_par`]) directly:
+//! it is the one entry point that resumes a spilled partition under its
+//! item prefix.
 
 use crate::budget::MemoryBudget;
 use crate::codec::SpillRecord;
 use crate::spill::SpillManager;
 use gogreen_core::cdb::{CompressedDb, CompressedRankDb};
 use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
-use gogreen_core::recycle_hm::RecycleHm;
 use gogreen_data::{
-    CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, TransactionDb,
+    CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
+    TransactionDb,
 };
-use gogreen_miners::HMine;
+use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
+use gogreen_util::pool::Parallelism;
 use gogreen_util::FxHashMap;
 
 /// I/O metrics of one memory-limited run.
@@ -75,7 +81,8 @@ impl LimitedHMine {
         let est = estimate_hmine_bytes(occurrences, tuples.len());
         metrics::set_max("storage.budget_high_water", est as u64);
         if self.budget.fits(est) {
-            HMine.mine_encoded(tuples.as_slices(), &flist, &[], minsup, sink);
+            let src = PlainRanks::from_csr(&tuples, flist.len());
+            hm::mine_source_par(&src, &flist, &[], minsup, Parallelism::serial(), sink);
             return Ok(report);
         }
         // Parallel projection of the root (paper §3.3).
@@ -137,7 +144,8 @@ impl LimitedHMine {
                 }
             })?;
             report.loads += 1;
-            HMine.mine_encoded(tuples.as_slices(), flist, prefix, minsup, sink);
+            let src = PlainRanks::from_csr(&tuples, flist.len());
+            hm::mine_source_par(&src, flist, prefix, minsup, Parallelism::serial(), sink);
             return Ok(());
         }
         // Too big: respill one level deeper.
@@ -197,14 +205,14 @@ impl LimitedHMine {
 
 /// Memory-limited Recycle-HM over a compressed database.
 #[derive(Debug, Clone, Copy)]
-pub struct LimitedRecycleHm {
+pub struct LimitedRecycledHMine {
     budget: MemoryBudget,
 }
 
-impl LimitedRecycleHm {
+impl LimitedRecycledHMine {
     /// A driver with the given budget.
     pub fn new(budget: MemoryBudget) -> Self {
-        LimitedRecycleHm { budget }
+        LimitedRecycledHMine { budget }
     }
 
     /// Mines `cdb`, spilling as the budget demands.
@@ -224,7 +232,7 @@ impl LimitedRecycleHm {
         let est = estimate_rp_struct_bytes(&rdb);
         metrics::set_max("storage.budget_high_water", est as u64);
         if self.budget.fits(est) {
-            RecycleHm.mine_rank_db(&rdb, &flist, &[], minsup, sink);
+            hm::mine_source_par(&rdb, &flist, &[], minsup, Parallelism::serial(), sink);
             return Ok(report);
         }
         report.spills += 1;
@@ -293,7 +301,7 @@ impl LimitedRecycleHm {
                 }
             })?;
             report.loads += 1;
-            RecycleHm.mine_rank_db(&rdb, flist, prefix, minsup, sink);
+            hm::mine_source_par(&rdb, flist, prefix, minsup, Parallelism::serial(), sink);
             return Ok(());
         }
         report.spills += 1;
@@ -495,8 +503,9 @@ mod tests {
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
         for budget in budgets() {
             for minsup in 1..=4 {
-                let (got, report) =
-                    LimitedRecycleHm::new(budget).mine(&cdb, MinSupport::Absolute(minsup)).unwrap();
+                let (got, report) = LimitedRecycledHMine::new(budget)
+                    .mine(&cdb, MinSupport::Absolute(minsup))
+                    .unwrap();
                 let want = mine_apriori(&db, MinSupport::Absolute(minsup));
                 assert!(
                     got.same_patterns_as(&want),
@@ -544,8 +553,9 @@ mod tests {
         assert!(!cdb.groups().is_empty());
         for budget in [MemoryBudget::bytes(300), MemoryBudget::bytes(100)] {
             for minsup in 1..=3 {
-                let (got, _) =
-                    LimitedRecycleHm::new(budget).mine(&cdb, MinSupport::Absolute(minsup)).unwrap();
+                let (got, _) = LimitedRecycledHMine::new(budget)
+                    .mine(&cdb, MinSupport::Absolute(minsup))
+                    .unwrap();
                 let want = mine_apriori(&db, MinSupport::Absolute(minsup));
                 assert!(got.same_patterns_as(&want), "budget {budget:?} minsup {minsup}");
             }

@@ -432,9 +432,9 @@ impl VersionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gogreen_core::engine::{Engine, Family};
     use gogreen_core::{Compressor, Strategy};
     use gogreen_data::{MinSupport, TransactionDb};
-    use gogreen_miners::mine_hmine;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -448,7 +448,7 @@ mod tests {
 
     fn paper_cdb(minsup: u64) -> CompressedDb {
         let db = TransactionDb::paper_example();
-        let fp = mine_hmine(&db, MinSupport::Absolute(minsup));
+        let fp = Engine::new(Family::Hm).mine(&db, MinSupport::Absolute(minsup));
         Compressor::new(Strategy::Mcp).compress(&db, &fp)
     }
 
@@ -489,7 +489,7 @@ mod tests {
         let rows: Vec<Vec<u32>> = (0..200u32).map(|k| vec![k % 5, 5 + k % 3, 10 + k]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = TransactionDb::from_rows(&refs);
-        let fp = mine_hmine(&db, MinSupport::Absolute(30));
+        let fp = Engine::new(Family::Hm).mine(&db, MinSupport::Absolute(30));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let mut store = VersionStore::open(&dir).unwrap();
         let full_bytes = store.push(&cdb).unwrap();

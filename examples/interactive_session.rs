@@ -6,7 +6,7 @@
 //! cargo run --release --example interactive_session
 //! ```
 
-use gogreen::core::session::{Engine, MiningSession};
+use gogreen::core::session::MiningSession;
 use gogreen::prelude::*;
 use gogreen_constraints::ConstraintSet;
 use gogreen_datagen::{DatasetPreset, PresetKind};
@@ -16,7 +16,7 @@ fn main() {
     println!("dataset: {} tuples (pumsb-like)\n", db.len());
 
     let mut session =
-        MiningSession::new(db).with_engine(Engine::HMine).with_strategy(Strategy::Mcp);
+        MiningSession::new(db).with_engine(Engine::new(Family::Hm)).with_strategy(Strategy::Mcp);
 
     // The user explores: start high, relax twice, jump back up, repeat a
     // query verbatim.

@@ -7,7 +7,7 @@
 //! ```
 
 use gogreen::prelude::*;
-use gogreen::storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
+use gogreen::storage::{LimitedHMine, LimitedRecycledHMine, MemoryBudget};
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::time::Instant;
 
@@ -15,7 +15,7 @@ fn main() {
     let db = DatasetPreset::new(PresetKind::Connect4, 0.02).generate();
     let xi_old = MinSupport::percent(95.0);
     let xi_new = MinSupport::percent(88.0);
-    let fp_old = mine_hmine(&db, xi_old);
+    let fp_old = Engine::new(Family::Hm).mine(&db, xi_old);
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     println!(
         "dataset: {} tuples; recycling {} patterns (ratio {:.3})\n",
@@ -41,7 +41,7 @@ fn main() {
         let t_h = t.elapsed();
 
         let t = Instant::now();
-        let (rec, rep_m) = LimitedRecycleHm::new(budget).mine(&cdb, xi_new).expect("spill i/o");
+        let (rec, rep_m) = LimitedRecycledHMine::new(budget).mine(&cdb, xi_new).expect("spill i/o");
         let t_m = t.elapsed();
 
         assert!(base.same_patterns_as(&rec));

@@ -11,12 +11,13 @@
 //!
 //! * [`data`] — items, transactions, databases, F-lists, patterns.
 //! * [`datagen`] — synthetic dataset generators and paper-analog presets.
-//! * [`miners`] — baseline miners: Apriori, H-Mine, FP-growth,
-//!   Tree Projection, vertical bitmap Eclat.
+//! * [`miners`] — the mining engine: one traversal per family (H-Mine,
+//!   FP-growth, Tree Projection, vertical bitmap Eclat) behind one
+//!   `Engine`, plus the Apriori oracle.
 //! * [`constraints`] — the constrained-mining framework (anti-monotone,
 //!   monotone, succinct, convertible constraint classes).
 //! * [`core`] — the paper's contribution: MCP/MLP compression, compressed
-//!   databases, RP-Mine, Recycle-HM, FP/TP recycling miners, and the
+//!   databases as engine inputs, the RP-Mine reference, and the
 //!   iterative [`core::session::MiningSession`].
 //! * [`storage`] — memory budgets, disk spill, and memory-limited mining.
 //! * [`obs`] — tracing spans and mining counters (`--trace-out` /
@@ -33,14 +34,16 @@
 //! let db = TransactionDb::paper_example();
 //!
 //! // Round 1: mine at a high support threshold.
-//! let old = mine_hmine(&db, MinSupport::Absolute(3));
+//! let hm = Engine::new(Family::Hm);
+//! let old = hm.mine(&db, MinSupport::Absolute(3));
 //!
-//! // Round 2: the user relaxes the threshold; recycle round 1's patterns.
+//! // Round 2: the user relaxes the threshold; recycle round 1's patterns
+//! // by mining the database compressed with them.
 //! let compressed = Compressor::new(Strategy::Mcp).compress(&db, &old);
-//! let fresh = RecycleHm::default().mine(&compressed, MinSupport::Absolute(2));
+//! let fresh = hm.mine(&compressed, MinSupport::Absolute(2));
 //!
 //! // Recycling is exact: same answer as mining from scratch.
-//! let scratch = mine_hmine(&db, MinSupport::Absolute(2));
+//! let scratch = hm.mine(&db, MinSupport::Absolute(2));
 //! assert!(fresh.same_patterns_as(&scratch));
 //! ```
 
@@ -58,20 +61,14 @@ pub mod prelude {
     pub use gogreen_core::batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
     pub use gogreen_core::cdb::CompressedDb;
     pub use gogreen_core::compress::Compressor;
-    pub use gogreen_core::recycle_fp::RecycleFp;
-    pub use gogreen_core::recycle_hm::RecycleHm;
-    pub use gogreen_core::recycle_tp::RecycleTp;
-    pub use gogreen_core::recycle_vt::RecycleVt;
+    pub use gogreen_core::engine::{Engine, EngineOpts, Family};
     pub use gogreen_core::rpmine::RpMine;
     pub use gogreen_core::session::MiningSession;
     pub use gogreen_core::store::PatternStore;
     pub use gogreen_core::utility::Strategy;
-    pub use gogreen_core::RecyclingMiner;
     pub use gogreen_data::{
         contains_all, CollectSink, CountSink, CsrTuples, FList, Item, ItemCatalog, MinSupport,
         Pattern, PatternSet, PatternSink, ProjectionArena, Transaction, TransactionDb, TupleSlices,
     };
-    pub use gogreen_miners::{
-        mine_apriori, mine_eclat, mine_fpgrowth, mine_hmine, mine_treeproj, Miner,
-    };
+    pub use gogreen_miners::mine_apriori;
 }

@@ -9,6 +9,7 @@
 //! `TEST_LOCK` for its whole body.
 
 use gogreen::constraints::{Constraint, ConstraintSet};
+use gogreen::core::BatchInput;
 use gogreen::data::FnSink;
 use gogreen::obs::metrics;
 use gogreen::prelude::*;
@@ -16,14 +17,14 @@ use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::Mutex;
 
-static TEST_LOCK: Mutex<()> = Mutex::new(());
+const HM: Engine = Engine::new(Family::Hm);
 
-const FAMILIES: [&str; 4] = ["hmine", "fp", "tp", "vt"];
+static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn weather() -> (TransactionDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     (db, cdb)
 }
@@ -63,8 +64,9 @@ fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
     out
 }
 
-/// Runs `batch` on the raw db and returns all member streams.
-fn batched_raw(batch: &QueryBatch, db: &TransactionDb, algo: &str) -> Vec<Stream> {
+/// Runs `batch` on `input` (raw or compressed) and returns all member
+/// streams.
+fn batched<I: BatchInput>(batch: &QueryBatch, input: &I, algo: &str) -> Vec<Stream> {
     let k = batch.len();
     let mut streams: Vec<Stream> = vec![Vec::new(); k];
     {
@@ -76,25 +78,7 @@ fn batched_raw(batch: &QueryBatch, db: &TransactionDb, algo: &str) -> Vec<Stream
         }
         let mut refs: Vec<&mut dyn PatternSink> =
             sinks.iter_mut().map(|s| s as &mut dyn PatternSink).collect();
-        batch.run_into(db, algo, &mut refs).unwrap_or_else(|e| panic!("{algo}: {e}"));
-    }
-    streams
-}
-
-/// Runs `batch` on the compressed substrate and returns member streams.
-fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: &str) -> Vec<Stream> {
-    let k = batch.len();
-    let mut streams: Vec<Stream> = vec![Vec::new(); k];
-    {
-        let mut sinks: Vec<FnSink<_>> = Vec::new();
-        let mut parts = streams.iter_mut();
-        for _ in 0..k {
-            let out = parts.next().unwrap();
-            sinks.push(FnSink(move |items: &[Item], sup: u64| out.push((items.to_vec(), sup))));
-        }
-        let mut refs: Vec<&mut dyn PatternSink> =
-            sinks.iter_mut().map(|s| s as &mut dyn PatternSink).collect();
-        batch.run_recycled_into(cdb, algo, &mut refs).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        batch.run_into(input, algo, &mut refs).unwrap_or_else(|e| panic!("{algo}: {e}"));
     }
     streams
 }
@@ -103,7 +87,7 @@ fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: &str) -> Vec<S
 fn raw_batched_streams_match_solo_at_every_thread_count() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, _) = weather();
-    for algo in FAMILIES {
+    for algo in Family::ALL.map(Family::key) {
         let batch = fleet(&db);
         let solo: Vec<Stream> = (0..batch.len())
             .map(|i| stream_of(&mut |sink| batch.run_solo(i, &db, algo, sink).unwrap()))
@@ -111,7 +95,7 @@ fn raw_batched_streams_match_solo_at_every_thread_count() {
         assert!(solo.iter().all(|s| !s.is_empty()), "{algo}: a solo run emitted nothing");
         for threads in [1usize, 4, 8] {
             let batch = fleet(&db).with_parallelism(Parallelism::threads(threads));
-            let streams = batched_raw(&batch, &db, algo);
+            let streams = batched(&batch, &db, algo);
             for (i, (got, want)) in streams.iter().zip(&solo).enumerate() {
                 assert_eq!(
                     got, want,
@@ -126,15 +110,15 @@ fn raw_batched_streams_match_solo_at_every_thread_count() {
 fn recycled_batched_streams_match_solo_at_every_thread_count() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
-    for algo in FAMILIES {
+    for algo in Family::ALL.map(Family::key) {
         let batch = fleet(&db);
         let solo: Vec<Stream> = (0..batch.len())
-            .map(|i| stream_of(&mut |sink| batch.run_solo_recycled(i, &cdb, algo, sink).unwrap()))
+            .map(|i| stream_of(&mut |sink| batch.run_solo(i, &cdb, algo, sink).unwrap()))
             .collect();
         assert!(solo.iter().all(|s| !s.is_empty()), "{algo}: a solo run emitted nothing");
         for threads in [1usize, 4, 8] {
             let batch = fleet(&db).with_parallelism(Parallelism::threads(threads));
-            let streams = batched_recycled(&batch, &cdb, algo);
+            let streams = batched(&batch, &cdb, algo);
             for (i, (got, want)) in streams.iter().zip(&solo).enumerate() {
                 assert_eq!(
                     got, want,
@@ -151,10 +135,10 @@ fn recycled_batched_streams_match_solo_at_every_thread_count() {
 fn raw_and_recycled_batches_agree() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
-    for algo in FAMILIES {
+    for algo in Family::ALL.map(Family::key) {
         let batch = fleet(&db);
-        let raw = batched_raw(&batch, &db, algo);
-        let rec = batched_recycled(&batch, &cdb, algo);
+        let raw = batched(&batch, &db, algo);
+        let rec = batched(&batch, &cdb, algo);
         assert_eq!(raw, rec, "{algo}: raw and MCP batches disagree");
     }
 }
@@ -168,11 +152,11 @@ fn batch_counters(
 ) -> Vec<(&'static str, u64)> {
     metrics::reset();
     metrics::set_enabled(true);
-    for algo in FAMILIES {
+    for algo in Family::ALL.map(Family::key) {
         let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
         batch.run(db, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
         let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
-        batch.run_recycled(cdb, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        batch.run(cdb, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
     }
     metrics::set_enabled(false);
     let snap: Vec<(&'static str, u64)> = metrics::snapshot()

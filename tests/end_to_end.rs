@@ -5,6 +5,8 @@
 use gogreen::prelude::*;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 
+const HM: Engine = Engine::new(Family::Hm);
+
 const TINY: f64 = 0.0005; // 2,000-tuple floor for every preset
 
 fn check_preset(kind: PresetKind) {
@@ -13,24 +15,25 @@ fn check_preset(kind: PresetKind) {
     let xi_old = preset.xi_old();
     let xi_new = preset.sweep()[1];
 
-    let fp_old = mine_hmine(&db, xi_old);
+    let fp_old = HM.mine(&db, xi_old);
     assert!(!fp_old.is_empty(), "{}: nothing to recycle at ξ_old", preset.name());
 
-    let reference = mine_fpgrowth(&db, xi_new);
-    assert!(mine_hmine(&db, xi_new).same_patterns_as(&reference));
-    assert!(mine_treeproj(&db, xi_new).same_patterns_as(&reference));
+    let reference = Engine::new(Family::Fp).mine(&db, xi_new);
+    for family in Family::ALL {
+        let got = Engine::new(family).mine(&db, xi_new);
+        assert!(got.same_patterns_as(&reference), "{}/{family:?}", preset.name());
+    }
 
     for strategy in [Strategy::Mcp, Strategy::Mlp] {
         let cdb = Compressor::new(strategy).compress(&db, &fp_old);
         let stats = cdb.stats();
         assert_eq!(stats.num_tuples, db.len(), "{}", preset.name());
         assert!(stats.ratio() <= 1.0);
-        let recyclers: Vec<(&str, PatternSet)> = vec![
-            ("RP-Mine", RpMine::default().mine(&cdb, xi_new)),
-            ("Recycle-HM", RecycleHm.mine(&cdb, xi_new)),
-            ("FP-recycle", RecycleFp::default().mine(&cdb, xi_new)),
-            ("TP-recycle", RecycleTp.mine(&cdb, xi_new)),
-        ];
+        let mut recyclers: Vec<(&str, PatternSet)> =
+            vec![("RP-Mine", RpMine::default().mine(&cdb, xi_new))];
+        for family in Family::ALL {
+            recyclers.push((family.tag(), Engine::new(family).mine(&cdb, xi_new)));
+        }
         for (name, got) in recyclers {
             assert!(
                 got.same_patterns_as(&reference),
@@ -70,7 +73,7 @@ fn dense_presets_compress_meaningfully() {
     for kind in [PresetKind::Connect4, PresetKind::Pumsb] {
         let preset = DatasetPreset::new(kind, TINY);
         let db = preset.generate();
-        let fp_old = mine_hmine(&db, preset.xi_old());
+        let fp_old = HM.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
         let stats = cdb.stats();
         assert!(
@@ -91,10 +94,10 @@ fn dense_presets_compress_meaningfully() {
 fn foreign_pattern_sets_are_safe() {
     let a = DatasetPreset::new(PresetKind::Connect4, TINY).generate();
     let b = DatasetPreset::new(PresetKind::Pumsb, TINY).generate();
-    let fp_from_b = mine_hmine(&b, MinSupport::percent(90.0));
+    let fp_from_b = HM.mine(&b, MinSupport::percent(90.0));
     let cdb = Compressor::new(Strategy::Mcp).compress(&a, &fp_from_b);
     let xi = MinSupport::percent(90.0);
-    let got = RecycleHm.mine(&cdb, xi);
-    let want = mine_hmine(&a, xi);
+    let got = HM.mine(&cdb, xi);
+    let want = HM.mine(&a, xi);
     assert!(got.same_patterns_as(&want));
 }

@@ -6,17 +6,19 @@
 //! counts. The spill codec's CSR group records must survive an
 //! encode/decode round-trip and fail loudly on corrupt bytes.
 //!
-//! The metrics registry is process-global, so metric tests hold
-//! `TEST_LOCK` for their whole body.
+//! The metrics registry is process-global, so every test that mines
+//! holds `TEST_LOCK` for its whole body: an unlocked run would land its
+//! counts in another test's enabled registry.
 
 use gogreen::data::FnSink;
-use gogreen::miners::{FpGrowth, HMine, TreeProjection};
 use gogreen::obs::metrics;
 use gogreen::prelude::*;
 use gogreen::storage::codec::{ByteReader, DecodeError, SpillRecord};
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::Mutex;
+
+const HM: Engine = Engine::new(Family::Hm);
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -26,7 +28,7 @@ const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 fn substrates() -> (TransactionDb, CompressedDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let mcp = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let mlp = Compressor::new(Strategy::Mlp).compress(&db, &fp);
     (db, mcp, mlp)
@@ -43,47 +45,44 @@ fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
     out
 }
 
-/// All 7 miners, every substrate each supports, threads 1 vs 4: the
-/// stream must not move by a byte.
+/// Every engine family on every substrate, plus RP-Mine on the
+/// compressed ones, threads 1 vs 4: the stream must not move by a byte.
 #[test]
 fn all_miners_identical_on_every_substrate() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, mcp, mlp) = substrates();
     let raw = CompressedDb::uncompressed(&db);
 
-    let baselines: Vec<Box<dyn Miner>> =
-        vec![Box::new(HMine), Box::new(FpGrowth), Box::new(TreeProjection)];
-    for m in &baselines {
+    for family in Family::ALL {
+        let engine = Engine::new(family);
         let serial =
-            stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, Parallelism::serial(), sink));
+            stream_of(&mut |sink| engine.mine_into(&db, XI_NEW, Parallelism::serial(), sink));
         let par =
-            stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, Parallelism::threads(4), sink));
-        assert!(!serial.is_empty(), "{}: serial run emitted nothing", m.name());
-        assert!(serial == par, "{}: stream diverged at 4 threads", m.name());
+            stream_of(&mut |sink| engine.mine_into(&db, XI_NEW, Parallelism::threads(4), sink));
+        assert!(!serial.is_empty(), "{family:?}: serial run emitted nothing");
+        assert!(serial == par, "{family:?}: stream diverged at 4 threads");
     }
 
-    let recyclers: Vec<Box<dyn RecyclingMiner>> = vec![
-        Box::new(RecycleHm),
-        Box::new(RecycleFp::default()),
-        Box::new(RecycleTp),
-        Box::new(RpMine::default()),
-    ];
-    for m in &recyclers {
+    // `None` is RP-Mine, the serial reference.
+    let recycle =
+        |who: Option<Family>, cdb: &CompressedDb, par, sink: &mut dyn PatternSink| match who {
+            Some(family) => Engine::new(family).mine_into(cdb, XI_NEW, par, sink),
+            None => RpMine::default().mine_into(cdb, XI_NEW, sink),
+        };
+    for who in Family::ALL.map(Some).into_iter().chain([None]) {
+        let name = who.map_or("RP-Mine", Family::tag);
         let mut oracle: Option<PatternSet> = None;
         for (label, view) in [("raw", &raw), ("MCP", &mcp), ("MLP", &mlp)] {
-            let serial =
-                stream_of(&mut |sink| m.mine_into_par(view, XI_NEW, Parallelism::serial(), sink));
-            let par =
-                stream_of(&mut |sink| m.mine_into_par(view, XI_NEW, Parallelism::threads(4), sink));
-            assert!(!serial.is_empty(), "{} on {label}: serial run emitted nothing", m.name());
-            assert!(serial == par, "{} on {label}: stream diverged at 4 threads", m.name());
+            let serial = stream_of(&mut |sink| recycle(who, view, Parallelism::serial(), sink));
+            let par = stream_of(&mut |sink| recycle(who, view, Parallelism::threads(4), sink));
+            assert!(!serial.is_empty(), "{name} on {label}: serial run emitted nothing");
+            assert!(serial == par, "{name} on {label}: stream diverged at 4 threads");
             // Substrates may reorder the stream but never change the set.
             let set: PatternSet =
                 serial.iter().map(|(items, sup)| Pattern::new(items.clone(), *sup)).collect();
             match &oracle {
                 None => oracle = Some(set),
-                Some(o) => {
-                    assert!(set.same_patterns_as(o), "{} on {label}: pattern set moved", m.name())
-                }
+                Some(o) => assert!(set.same_patterns_as(o), "{name} on {label}: pattern set moved"),
             }
         }
     }
@@ -96,14 +95,11 @@ fn counters(db: &TransactionDb, cdb: &CompressedDb, threads: usize) -> Vec<(&'st
     metrics::reset();
     metrics::set_enabled(true);
     let mut sink = FnSink(|_: &[Item], _: u64| {});
-    for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection] {
-        m.mine_into_par(db, XI_NEW, par, &mut sink);
+    for family in Family::ALL {
+        Engine::new(family).mine_into(db, XI_NEW, par, &mut sink);
+        Engine::new(family).mine_into(cdb, XI_NEW, par, &mut sink);
     }
-    let recyclers: [&dyn RecyclingMiner; 4] =
-        [&RecycleHm, &RecycleFp::default(), &RecycleTp, &RpMine::default()];
-    for m in recyclers {
-        m.mine_into_par(cdb, XI_NEW, par, &mut sink);
-    }
+    RpMine::default().mine_into(cdb, XI_NEW, &mut sink);
     metrics::set_enabled(false);
     let snap: Vec<(&'static str, u64)> = metrics::snapshot()
         .into_iter()

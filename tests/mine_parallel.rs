@@ -4,21 +4,22 @@
 //! counter total must be *bit-identical* — parallelism redistributes the
 //! work without changing it.
 //!
-//! Covers all baseline miners on the raw weather analog and all
-//! recycling miners on both an uncompressed view and an MCP-compressed
-//! database.
+//! Covers every engine family on the raw weather analog, and every
+//! family plus the RP-Mine reference on both an uncompressed view and an
+//! MCP-compressed database.
 //!
 //! The metrics registry is process-global, so every test holds
 //! `TEST_LOCK` for its whole body.
 
+use gogreen::core::engine::VtRepr;
 use gogreen::data::FnSink;
-use gogreen::miners::engine::vt::VtRepr;
-use gogreen::miners::{Eclat, FpGrowth, HMine, TreeProjection};
 use gogreen::obs::metrics;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::Mutex;
+
+const HM: Engine = Engine::new(Family::Hm);
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -27,7 +28,7 @@ const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 fn weather() -> (TransactionDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     (db, cdb)
 }
@@ -38,7 +39,7 @@ fn weather() -> (TransactionDb, CompressedDb) {
 fn pumsb() -> (TransactionDb, CompressedDb, MinSupport) {
     let preset = DatasetPreset::new(PresetKind::Pumsb, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("pumsb sweep");
     (db, cdb, xi_new)
@@ -69,13 +70,11 @@ fn assert_streams_match(serial: &Stream, name: &str, mut run: impl FnMut(Paralle
 fn baseline_miner_streams_identical_across_thread_counts() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, _) = weather();
-    let miners: Vec<Box<dyn Miner>> =
-        vec![Box::new(HMine), Box::new(FpGrowth), Box::new(TreeProjection), Box::new(Eclat::new())];
-    for m in &miners {
-        let serial =
-            stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, Parallelism::serial(), sink));
-        assert_streams_match(&serial, m.name(), |par| {
-            stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, par, sink))
+    for family in Family::ALL {
+        let m = Engine::new(family);
+        let serial = stream_of(&mut |sink| m.mine_into(&db, XI_NEW, Parallelism::serial(), sink));
+        assert_streams_match(&serial, family.name(), |par| {
+            stream_of(&mut |sink| m.mine_into(&db, XI_NEW, par, sink))
         });
     }
 }
@@ -85,21 +84,22 @@ fn recycling_miner_streams_identical_across_thread_counts() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     let raw = CompressedDb::uncompressed(&db);
-    let miners: Vec<Box<dyn RecyclingMiner>> = vec![
-        Box::new(RecycleHm),
-        Box::new(RecycleFp::default()),
-        Box::new(RecycleTp),
-        Box::new(RecycleVt::new()),
-        Box::new(RpMine::default()),
-    ];
-    for m in &miners {
+    for family in Family::ALL {
+        let m = Engine::new(family);
         for (label, view) in [("uncompressed", &raw), ("MCP", &cdb)] {
             let serial =
-                stream_of(&mut |sink| m.mine_into_par(view, XI_NEW, Parallelism::serial(), sink));
-            assert_streams_match(&serial, &format!("{} on {label}", m.name()), |par| {
-                stream_of(&mut |sink| m.mine_into_par(view, XI_NEW, par, sink))
+                stream_of(&mut |sink| m.mine_into(view, XI_NEW, Parallelism::serial(), sink));
+            assert_streams_match(&serial, &format!("{}-recycle on {label}", family.tag()), |par| {
+                stream_of(&mut |sink| m.mine_into(view, XI_NEW, par, sink))
             });
         }
+    }
+    // RP-Mine is serial by design: its stream is the same on every call.
+    for view in [&raw, &cdb] {
+        let serial = stream_of(&mut |sink| RpMine::default().mine_into(view, XI_NEW, sink));
+        assert_streams_match(&serial, "RP-Mine", |_| {
+            stream_of(&mut |sink| RpMine::default().mine_into(view, XI_NEW, sink))
+        });
     }
 }
 
@@ -115,22 +115,19 @@ fn vt_repr_streams_identical_across_modes_and_threads() {
         let mut raw_first: Option<Stream> = None;
         let mut rec_first: Option<Stream> = None;
         for repr in VtRepr::ALL {
-            let raw = Eclat::with_repr(repr);
-            let serial =
-                stream_of(&mut |sink| raw.mine_into_par(&db, xi, Parallelism::serial(), sink));
+            let vt = Engine { family: Family::Vt, opts: EngineOpts { vt_repr: repr } };
+            let serial = stream_of(&mut |sink| vt.mine_into(&db, xi, Parallelism::serial(), sink));
             assert_streams_match(&serial, &format!("Eclat --vt-repr {repr}"), |par| {
-                stream_of(&mut |sink| raw.mine_into_par(&db, xi, par, sink))
+                stream_of(&mut |sink| vt.mine_into(&db, xi, par, sink))
             });
             assert_eq!(
                 &serial,
                 raw_first.get_or_insert_with(|| serial.clone()),
                 "Eclat --vt-repr {repr}: stream differs across modes"
             );
-            let rec = RecycleVt::with_repr(repr);
-            let serial =
-                stream_of(&mut |sink| rec.mine_into_par(&cdb, xi, Parallelism::serial(), sink));
+            let serial = stream_of(&mut |sink| vt.mine_into(&cdb, xi, Parallelism::serial(), sink));
             assert_streams_match(&serial, &format!("VT-recycle --vt-repr {repr}"), |par| {
-                stream_of(&mut |sink| rec.mine_into_par(&cdb, xi, par, sink))
+                stream_of(&mut |sink| vt.mine_into(&cdb, xi, par, sink))
             });
             assert_eq!(
                 &serial,
@@ -152,15 +149,13 @@ fn mine_counters(
     metrics::reset();
     metrics::set_enabled(true);
     let mut sink = FnSink(|_: &[Item], _: u64| {});
-    let eclat = Eclat::new();
-    for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection, &eclat] {
-        m.mine_into_par(db, XI_NEW, par, &mut sink);
+    for family in Family::ALL {
+        Engine::new(family).mine_into(db, XI_NEW, par, &mut sink);
     }
-    let (rvt, rfp, rp) = (RecycleVt::new(), RecycleFp::default(), RpMine::default());
-    let recyclers: [&dyn RecyclingMiner; 5] = [&RecycleHm, &rfp, &RecycleTp, &rvt, &rp];
-    for m in recyclers {
-        m.mine_into_par(cdb, XI_NEW, par, &mut sink);
+    for family in Family::ALL {
+        Engine::new(family).mine_into(cdb, XI_NEW, par, &mut sink);
     }
+    RpMine::default().mine_into(cdb, XI_NEW, &mut sink);
     metrics::set_enabled(false);
     let snap: Vec<(&'static str, u64)> = metrics::snapshot()
         .into_iter()

@@ -15,7 +15,6 @@
 //! The registry and trace sink are process-global, so every test holds
 //! `TEST_LOCK` for its whole body.
 
-use gogreen::core::engine::engine_named;
 use gogreen::obs::histogram::{self, Histogram};
 use gogreen::obs::{metrics, set_trace_writer, take_trace_writer};
 use gogreen::prelude::*;
@@ -25,12 +24,14 @@ use gogreen_util::{Json, Stopwatch};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
+const HM: Engine = Engine::new(Family::Hm);
+
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn weather() -> (TransactionDb, PatternSet) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = HM.mine(&db, preset.xi_old());
     (db, fp)
 }
 
@@ -40,7 +41,7 @@ fn invariant_counters(db: &TransactionDb, threads: usize) -> Vec<(&'static str, 
     metrics::reset();
     metrics::set_enabled(true);
     let mut session = gogreen::core::session::MiningSession::new(db.clone())
-        .with_engine(gogreen::core::session::Engine::FpTree)
+        .with_engine(Engine::new(Family::Fp))
         .with_threads(threads);
     session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(5.0)));
     // Relaxed: compresses with round 1's patterns and recycles them.
@@ -91,7 +92,7 @@ fn span_jsonl_round_trips_with_parent_links() {
     let buf = Arc::new(Mutex::new(Vec::new()));
     set_trace_writer(Box::new(Buf(buf.clone())));
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    let patterns = RecycleHm.mine(&cdb, MinSupport::percent(2.0));
+    let patterns = HM.mine(&cdb, MinSupport::percent(2.0));
     drop(take_trace_writer());
     assert!(!patterns.is_empty());
 
@@ -160,12 +161,12 @@ fn disabled_instrumentation_is_nearly_free() {
     // word counts, projected sizes), and 10⁴ explicit disabled observes
     // must stay under the same 2% budget.
     histogram::reset();
-    let vt = engine_named("vt").expect("vt engine registered").raw();
+    let vt = Engine::new(Family::Vt);
     let mut sink = CountSink::new();
-    vt.mine_into_par(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
+    vt.mine_into(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
     let mut watch = Stopwatch::started();
     let mut sink = CountSink::new();
-    vt.mine_into_par(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
+    vt.mine_into(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
     let vt_time = watch.lap();
     for k in 0..10_000u64 {
         histogram::observe("obs.disabled_probe_hist", k);
@@ -196,12 +197,11 @@ fn invariant_histograms(
     histogram::reset();
     metrics::set_enabled(true);
     let par = Parallelism::threads(threads);
-    for key in ["hmine", "vt"] {
-        let engine = engine_named(key).expect("engine registered");
+    for engine in [Family::Hm, Family::Vt].map(Engine::new) {
         let mut sink = CountSink::new();
-        engine.raw().mine_into_par(db, xi_new, par, &mut sink);
+        engine.mine_into(db, xi_new, par, &mut sink);
         let mut sink = CountSink::new();
-        engine.recycling(par).expect("recycling pair").mine_into_par(cdb, xi_new, par, &mut sink);
+        engine.mine_into(cdb, xi_new, par, &mut sink);
     }
     metrics::set_enabled(false);
     let snap: Vec<(&'static str, Histogram)> = histogram::snapshot()
@@ -219,7 +219,7 @@ fn histogram_buckets_identical_across_thread_counts() {
     for kind in [PresetKind::Weather, PresetKind::Connect4] {
         let preset = DatasetPreset::new(kind, 0.005);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = HM.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         let serial = invariant_histograms(&db, &cdb, xi_new, 1);

@@ -18,6 +18,8 @@ use gogreen::prelude::*;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::{Arc, Mutex};
 
+const HM: Engine = Engine::new(Family::Hm);
+
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn reset_all() {
@@ -36,14 +38,14 @@ fn delta_equals_between_point_activity() {
     reset_all();
     metrics::set_enabled(true);
     let db = weather_db();
-    let fp = mine_hmine(&db, MinSupport::percent(5.0));
+    let fp = HM.mine(&db, MinSupport::percent(5.0));
 
     // Reference: reset, run the workload alone, snapshot the totals.
     let reference = {
         metrics::reset();
         histogram::reset();
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-        std::hint::black_box(RecycleHm.mine(&cdb, MinSupport::percent(2.0)));
+        std::hint::black_box(HM.mine(&cdb, MinSupport::percent(2.0)));
         MetricsSnapshot::capture()
     };
 
@@ -51,7 +53,7 @@ fn delta_equals_between_point_activity() {
     // must report exactly the same activity, invariant or not.
     let before = MetricsSnapshot::capture();
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    std::hint::black_box(RecycleHm.mine(&cdb, MinSupport::percent(2.0)));
+    std::hint::black_box(HM.mine(&cdb, MinSupport::percent(2.0)));
     let delta = MetricsSnapshot::capture().delta_since(&before);
     metrics::set_enabled(false);
 
@@ -79,7 +81,7 @@ fn session_round_deltas(db: &TransactionDb, threads: usize) -> Vec<(String, Metr
         sink.lock().unwrap().push((label.to_owned(), snap.clone()));
     }));
     let mut session = gogreen::core::session::MiningSession::new(db.clone())
-        .with_engine(gogreen::core::session::Engine::FpTree)
+        .with_engine(Engine::new(Family::Fp))
         .with_threads(threads);
     session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(5.0)));
     session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(2.0)));
@@ -129,9 +131,9 @@ fn profile_self_times_telescope_to_root_total() {
     profile::reset();
     profile::set_enabled(true);
     let db = weather_db();
-    let fp = mine_hmine(&db, MinSupport::percent(5.0));
+    let fp = HM.mine(&db, MinSupport::percent(5.0));
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    std::hint::black_box(RecycleHm.mine(&cdb, MinSupport::percent(2.0)));
+    std::hint::black_box(HM.mine(&cdb, MinSupport::percent(2.0)));
     profile::set_enabled(false);
 
     let nodes = profile::snapshot();

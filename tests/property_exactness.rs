@@ -6,14 +6,16 @@
 //! hermetic builds); every failure message carries the case seed so a
 //! failure replays deterministically.
 
-use gogreen::core::session::{Engine, MiningSession};
+use gogreen::core::session::MiningSession;
 use gogreen::core::utility::Strategy;
 use gogreen::prelude::*;
-use gogreen::storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
+use gogreen::storage::{LimitedHMine, LimitedRecycledHMine, MemoryBudget};
 use gogreen::util::rng::{Rng, SmallRng};
 use gogreen_constraints::ConstraintSet;
 use gogreen_miners::mine_apriori;
 use std::collections::BTreeSet;
+
+const HM: Engine = Engine::new(Family::Hm);
 
 /// Random database: 1..28 tuples of 1..9 distinct items over 0..14.
 fn random_db(rng: &mut SmallRng) -> TransactionDb {
@@ -38,8 +40,7 @@ fn sessions_are_exact() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0x5e55_0000 + case);
         let db = random_db(&mut rng);
-        let engine = [Engine::HMine, Engine::FpTree, Engine::TreeProjection, Engine::Naive]
-            [rng.gen_index(4)];
+        let engine = Engine::new(Family::ALL[rng.gen_index(4)]);
         let script_len = 1 + rng.gen_index(4);
         let mut session = MiningSession::new(db.clone()).with_engine(engine);
         for _ in 0..script_len {
@@ -67,7 +68,7 @@ fn memory_limited_drivers_are_exact() {
         assert!(hm.same_patterns_as(&want), "case {case}: H-Mine {} vs {}", hm.len(), want.len());
         let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        let (rec, _) = LimitedRecycleHm::new(budget)
+        let (rec, _) = LimitedRecycledHMine::new(budget)
             .mine(&cdb, MinSupport::Absolute(xi_new))
             .expect("spill i/o");
         assert!(rec.same_patterns_as(&want), "case {case}: HM-MCP {} vs {}", rec.len(), want.len());
@@ -88,10 +89,10 @@ fn chained_recycling_stays_exact() {
         let mut previous: Option<PatternSet> = None;
         for minsup in thresholds {
             let got = match &previous {
-                None => mine_hmine(&db, MinSupport::Absolute(minsup)),
+                None => HM.mine(&db, MinSupport::Absolute(minsup)),
                 Some(fp) => {
                     let cdb = Compressor::new(Strategy::Mcp).compress(&db, fp);
-                    RecycleHm.mine(&cdb, MinSupport::Absolute(minsup))
+                    HM.mine(&cdb, MinSupport::Absolute(minsup))
                 }
             };
             let want = mine_apriori(&db, MinSupport::Absolute(minsup));

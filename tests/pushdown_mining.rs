@@ -9,8 +9,10 @@ use gogreen::prelude::*;
 use gogreen::util::rng::{Rng, SmallRng};
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes, Pushdown};
 use gogreen_data::CollectSink;
-use gogreen_miners::{mine_apriori, HMine, NaiveProjection};
+use gogreen_miners::{mine_apriori, NaiveProjection};
 use std::collections::BTreeSet;
+
+const HM: Engine = Engine::new(Family::Hm);
 
 /// Random database: 1..26 tuples of 1..8 distinct items over 0..12.
 fn random_db(rng: &mut SmallRng) -> TransactionDb {
@@ -90,7 +92,7 @@ fn hmine_pushdown_is_exact() {
         let attrs = attrs();
         let pd = Pushdown::from_constraints(&cs, &attrs);
         let mut sink = CollectSink::new();
-        HMine.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink);
+        assert!(HM.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink));
         let got = sink.into_set();
         let want = expected(&db, &cs, &attrs);
         assert!(got.same_patterns_as(&want), "case {case}: got {} want {}", got.len(), want.len());
@@ -127,7 +129,7 @@ fn concrete_pushdown_example() {
         .with(Constraint::SubsetOf(vec![Item(2), Item(3), Item(5), Item(6)]));
     let pd = Pushdown::from_constraints(&cs, &attrs);
     let mut sink = CollectSink::new();
-    HMine.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink);
+    assert!(HM.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink));
     let got = sink.into_set();
     // Allowed items: c(2), d(3), f(5), g(6); patterns of length ≤ 2 with
     // support ≥ 2: c, d, f, g, cd, cf, cg, df, dg, fg.
