@@ -382,10 +382,58 @@ impl CompressedRankDb {
         }
     }
 
+    /// Reassembles a rank database from its raw sections — the inverse
+    /// of [`CompressedRankDb::raw_parts`], and how a grouped on-disk
+    /// segment loads: a move, not a rebuild. Checks every shape invariant
+    /// the engines index by and names the one violated.
+    pub fn from_raw_parts(
+        patterns: CsrTuples<u32>,
+        outliers: CsrTuples<u32>,
+        outlier_start: Vec<u32>,
+        bare: Vec<u64>,
+        plain: CsrTuples<u32>,
+        num_ranks: usize,
+    ) -> Result<Self, &'static str> {
+        let partitioned = outlier_start.len() == patterns.len() + 1
+            && outlier_start[0] == 0
+            && outlier_start.last() == Some(&(outliers.len() as u32))
+            && outlier_start.windows(2).all(|w| w[0] <= w[1]);
+        if bare.len() != patterns.len() || !partitioned {
+            return Err("group sections disagree");
+        }
+        let rows_ok = |c: &CsrTuples<u32>| {
+            c.iter().all(|r| {
+                r.windows(2).all(|w| w[0] < w[1])
+                    && r.last().is_some_and(|&x| (x as usize) < num_ranks)
+            })
+        };
+        if !rows_ok(&patterns) || !rows_ok(&outliers) || !rows_ok(&plain) {
+            return Err("a row is empty, unsorted or outside the rank range");
+        }
+        Ok(CompressedRankDb { patterns, outliers, outlier_start, bare, plain, num_ranks })
+    }
+
+    /// The raw sections `(patterns, outliers, outlier_start, bare, plain)`.
+    #[allow(clippy::type_complexity)]
+    pub fn raw_parts(&self) -> (&CsrTuples<u32>, &CsrTuples<u32>, &[u32], &[u64], &CsrTuples<u32>) {
+        (&self.patterns, &self.outliers, &self.outlier_start, &self.bare, &self.plain)
+    }
+
+    /// Appends every group and plain row of `other`, which must share
+    /// this database's rank space.
+    pub fn append(&mut self, other: &CompressedRankDb) {
+        for g in 0..other.num_groups() {
+            self.push_group(other.group_pattern(g), other.group_outliers(g), other.group_bare(g));
+        }
+        for t in other.plain() {
+            self.push_plain(t);
+        }
+    }
+
     /// Appends a group. `pattern` must be non-empty ascending ranks; each
     /// outlier row non-empty ascending ranks disjoint in meaning (the
     /// member's extra items). This is the public construction path for
-    /// callers outside the crate (e.g. rebuilding from spilled records).
+    /// callers outside the crate.
     pub fn push_group<'a>(
         &mut self,
         pattern: &[u32],
@@ -745,5 +793,36 @@ mod tests {
         assert_eq!(r2.group_count(0), 3);
         // Outlier {1,2} keeps 1 (2 infrequent); outlier {1} stays; bare 1.
         assert_eq!(r2.group_outliers(0).len(), 2);
+    }
+
+    #[test]
+    fn raw_parts_round_trip_and_append_concatenates() {
+        let rdb = paper_cdb().to_ranks(&paper_cdb().flist(1));
+        let (p, o, s, b, pl) = rdb.raw_parts();
+        let back = |n| {
+            CompressedRankDb::from_raw_parts(
+                p.clone(),
+                o.clone(),
+                s.to_vec(),
+                b.to_vec(),
+                pl.clone(),
+                n,
+            )
+        };
+        assert_eq!(back(rdb.num_ranks()), Ok(rdb.clone()));
+        assert!(back(1).is_err(), "a rank outside the rank space");
+        let short_bare = CompressedRankDb::from_raw_parts(
+            p.clone(),
+            o.clone(),
+            s.to_vec(),
+            vec![],
+            pl.clone(),
+            rdb.num_ranks(),
+        );
+        assert!(short_bare.is_err());
+        let mut twice = rdb.clone();
+        twice.append(&rdb);
+        assert_eq!(twice.num_groups(), 2 * rdb.num_groups());
+        assert_eq!(rows(twice.group_outliers(rdb.num_groups())), rows(rdb.group_outliers(0)));
     }
 }

@@ -37,6 +37,50 @@ pub fn estimate_rp_struct_bytes(rdb: &CompressedRankDb) -> usize {
     entries * BYTES_PER_ENTRY + num_tails * BYTES_PER_TAIL + group_bytes
 }
 
+/// The CSR counts of a (projected) database stored the way a compressed
+/// one is: plain rows, then groups with pattern heads and outlier rows.
+/// A segment header carries exactly these counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DbShape {
+    /// Plain rows.
+    pub rows: usize,
+    /// Elements across plain rows.
+    pub elems: usize,
+    /// Groups.
+    pub groups: usize,
+    /// Elements across group pattern heads.
+    pub pattern_elems: usize,
+    /// Outlier rows across groups.
+    pub outlier_rows: usize,
+    /// Elements across outlier rows.
+    pub outlier_elems: usize,
+}
+
+impl std::ops::AddAssign for DbShape {
+    fn add_assign(&mut self, o: DbShape) {
+        self.rows += o.rows;
+        self.elems += o.elems;
+        self.groups += o.groups;
+        self.pattern_elems += o.pattern_elems;
+        self.outlier_rows += o.outlier_rows;
+        self.outlier_elems += o.outlier_elems;
+    }
+}
+
+/// Estimated bytes of the H-Mine structure a spilled partition of
+/// `shape` expands to — the memory-limited drivers' `EM(D)` for the
+/// load-vs-respill decision. A plain row of `len` ranks costs
+/// `12·(len + 1) + 12` bytes; a group costs `60 + 4·|pattern|` plus
+/// `12·(|o| + 1) + 16` per outlier row `o`.
+pub fn estimate_partition_bytes(s: &DbShape) -> usize {
+    let rows = |rows: usize, elems: usize| 12 * (elems + rows) + 12 * rows;
+    rows(s.rows, s.elems)
+        + 60 * s.groups
+        + 4 * s.pattern_elems
+        + rows(s.outlier_rows, s.outlier_elems)
+        + 4 * s.outlier_rows
+}
+
 /// Estimated heap bytes of the plain H-Mine hyper-structure for a
 /// database with `occurrences` frequent-item occurrences in `tuples`
 /// tuples (item + hyperlink per entry, one sentinel per tuple).
@@ -141,6 +185,24 @@ mod tests {
         assert!(est > 0);
         // 22 occurrences + 5 sentinels entries, 5 tails.
         assert_eq!(est, (22 + 5) * BYTES_PER_ENTRY + 5 * BYTES_PER_TAIL);
+    }
+
+    #[test]
+    fn partition_estimate_is_the_per_record_sum() {
+        // Plain rows of 3 and 1 ranks; a 2-rank group with outlier rows
+        // of 2 and 1 ranks; the same again.
+        let row = |len: usize| 12 * (len + 1) + 12;
+        let one = row(3) + row(1) + 60 + 4 * 2 + (row(2) + 4) + (row(1) + 4);
+        let mut s = DbShape {
+            rows: 2,
+            elems: 4,
+            groups: 1,
+            pattern_elems: 2,
+            outlier_rows: 2,
+            outlier_elems: 3,
+        };
+        s += s;
+        assert_eq!(estimate_partition_bytes(&s), 2 * one);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! identical to uniformly spread work in a flat total, but not in a
 //! bucket vector. The recorded distributions (projected-DB sizes,
 //! per-projection tuple touches, tidset word counts, cover run lengths,
-//! spill record bytes) are declared in [`crate::registry`] next to the
+//! segment file sizes) are declared in [`crate::registry`] next to the
 //! counters.
 //!
 //! # Bucketing

@@ -10,26 +10,44 @@
 //! * [`LimitedHMine`] — plain databases, H-Mine in memory.
 //! * [`LimitedRecycledHMine`] — compressed databases, H-Mine on the
 //!   compressed substrate (Recycle-HM) in memory.
-//!   Spilled partitions keep their group structure (one group record per
-//!   partition), so the recycling savings survive the disk round-trip.
+//!
+//! They differ only at the root. Below it one recursion serves both,
+//! because a plain database is a compressed one with no groups. A
+//! partition is a segment store ([`crate::segment`]): rank rows plus a
+//! group section, which is empty for a plain database. Each group is
+//! written once per (partition, group), so the recycling saving
+//! survives the disk round trip. The load-vs-respill decision reads the
+//! partition's shape from its segment headers
+//! ([`estimate_partition_bytes`]). A respill takes its local supports
+//! from the segment sidecars and then projects one segment at a time.
 //!
 //! Both call the H-Mine traversal ([`hm::mine_source_par`]) directly:
 //! it is the one entry point that resumes a spilled partition under its
 //! item prefix.
 
 use crate::budget::MemoryBudget;
-use crate::codec::SpillRecord;
-use crate::spill::SpillManager;
+use crate::segment::{SegmentWriter, SegmentedDb};
 use gogreen_core::cdb::{CompressedDb, CompressedRankDb};
-use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
+use gogreen_core::memory::{
+    estimate_hmine_bytes, estimate_partition_bytes, estimate_rp_struct_bytes,
+};
 use gogreen_data::{
     CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
-    TransactionDb,
+    TransactionDb, TupleSlices,
 };
 use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
 use gogreen_util::pool::Parallelism;
 use gogreen_util::FxHashMap;
+use std::io;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Payload size at which a partition's segment seals: the bound on each
+/// partition's write buffer.
+const PARTITION_SEGMENT_BYTES: usize = 256 * 1024;
+
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// I/O metrics of one memory-limited run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,7 +57,7 @@ pub struct LimitedReport {
     pub spills: usize,
     /// Partitions mined after loading from disk.
     pub loads: usize,
-    /// Total bytes written by parallel projection.
+    /// Total segment file bytes written by parallel projection.
     pub disk_bytes: u64,
     /// Deepest spill nesting reached (0 = everything fit in memory).
     pub max_depth: usize,
@@ -63,49 +81,21 @@ impl LimitedHMine {
         db: &TransactionDb,
         min_support: MinSupport,
         sink: &mut dyn PatternSink,
-    ) -> std::io::Result<LimitedReport> {
+    ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(db.len());
         let flist = FList::from_db(db, minsup);
-        let mut report = LimitedReport::default();
         if flist.is_empty() {
-            return Ok(report);
+            return Ok(LimitedReport::default());
         }
-        let mut tuples: CsrTuples<u32> = CsrTuples::with_capacity(db.len(), 0);
+        let mut rdb = CompressedRankDb::empty(flist.len());
         for t in db.iter() {
             let enc = flist.encode(t);
             if !enc.is_empty() {
-                tuples.push_row(&enc);
+                rdb.push_plain(&enc);
             }
         }
-        let occurrences = tuples.total_elems();
-        let est = estimate_hmine_bytes(occurrences, tuples.len());
-        metrics::set_max("storage.budget_high_water", est as u64);
-        if self.budget.fits(est) {
-            let src = PlainRanks::from_csr(&tuples, flist.len());
-            hm::mine_source_par(&src, &flist, &[], minsup, Parallelism::serial(), sink);
-            return Ok(report);
-        }
-        // Parallel projection of the root (paper §3.3).
-        report.spills += 1;
-        report.max_depth = 1;
-        let mut mgr = SpillManager::new(flist.len())?;
-        for t in tuples.iter() {
-            for (i, &r) in t.iter().enumerate() {
-                if i + 1 < t.len() {
-                    mgr.append(r, &SpillRecord::Plain(t[i + 1..].to_vec()))?;
-                }
-            }
-        }
-        mgr.finish()?;
-        report.disk_bytes += mgr.total_bytes();
-        let mut prefix = Vec::with_capacity(8);
-        for r in 0..flist.len() as u32 {
-            sink.emit(&[flist.item(r)], flist.support(r));
-            prefix.push(flist.item(r));
-            self.mine_partition(&mgr, r, &mut prefix, &flist, minsup, sink, &mut report, 1)?;
-            prefix.pop();
-        }
-        Ok(report)
+        let est = estimate_hmine_bytes(rdb.plain().total_elems(), rdb.plain().len());
+        Recursion::new(self.budget, &flist, minsup).run(&rdb, est, sink)
     }
 
     /// Collects into a [`PatternSet`] alongside the report.
@@ -113,93 +103,10 @@ impl LimitedHMine {
         &self,
         db: &TransactionDb,
         min_support: MinSupport,
-    ) -> std::io::Result<(PatternSet, LimitedReport)> {
+    ) -> io::Result<(PatternSet, LimitedReport)> {
         let mut sink = CollectSink::new();
         let report = self.mine_into(db, min_support, &mut sink)?;
         Ok((sink.into_set(), report))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mine_partition(
-        &self,
-        mgr: &SpillManager,
-        r: u32,
-        prefix: &mut Vec<Item>,
-        flist: &FList,
-        minsup: u64,
-        sink: &mut dyn PatternSink,
-        report: &mut LimitedReport,
-        depth: usize,
-    ) -> std::io::Result<()> {
-        if mgr.partition_records(r) == 0 {
-            return Ok(());
-        }
-        metrics::set_max("storage.budget_high_water", mgr.estimated_memory(r) as u64);
-        if self.budget.fits(mgr.estimated_memory(r)) {
-            let mut tuples: CsrTuples<u32> =
-                CsrTuples::with_capacity(mgr.partition_records(r) as usize, 0);
-            mgr.for_each_record(r, |rec| {
-                if let SpillRecord::Plain(v) = rec {
-                    tuples.push_row(&v);
-                }
-            })?;
-            report.loads += 1;
-            let src = PlainRanks::from_csr(&tuples, flist.len());
-            hm::mine_source_par(&src, flist, prefix, minsup, Parallelism::serial(), sink);
-            return Ok(());
-        }
-        // Too big: respill one level deeper.
-        report.spills += 1;
-        report.max_depth = report.max_depth.max(depth + 1);
-        let mut counts = vec![0u64; flist.len()];
-        mgr.for_each_record(r, |rec| {
-            if let SpillRecord::Plain(v) = rec {
-                for &x in &v {
-                    counts[x as usize] += 1;
-                }
-            }
-        })?;
-        let frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= minsup)
-            .map(|(x, &c)| (x as u32, c))
-            .collect();
-        if frequent.is_empty() {
-            return Ok(());
-        }
-        let keep: Vec<bool> = counts.iter().map(|&c| c >= minsup).collect();
-        let mut sub = SpillManager::new(flist.len())?;
-        let mut filtered: Vec<u32> = Vec::new();
-        let mut io_err: Option<std::io::Error> = None;
-        mgr.for_each_record(r, |rec| {
-            if io_err.is_some() {
-                return;
-            }
-            if let SpillRecord::Plain(v) = rec {
-                filtered.clear();
-                filtered.extend(v.iter().filter(|&&x| keep[x as usize]));
-                for i in 0..filtered.len().saturating_sub(1) {
-                    let x = filtered[i];
-                    if let Err(e) = sub.append(x, &SpillRecord::Plain(filtered[i + 1..].to_vec())) {
-                        io_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        })?;
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        sub.finish()?;
-        report.disk_bytes += sub.total_bytes();
-        for (x, c) in frequent {
-            prefix.push(flist.item(x));
-            sink.emit(prefix, c);
-            self.mine_partition(&sub, x, prefix, flist, minsup, sink, report, depth + 1)?;
-            prefix.pop();
-        }
-        Ok(())
     }
 }
 
@@ -221,48 +128,15 @@ impl LimitedRecycledHMine {
         cdb: &CompressedDb,
         min_support: MinSupport,
         sink: &mut dyn PatternSink,
-    ) -> std::io::Result<LimitedReport> {
+    ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(cdb.num_tuples());
         let flist = cdb.flist(minsup);
-        let mut report = LimitedReport::default();
         if flist.is_empty() {
-            return Ok(report);
+            return Ok(LimitedReport::default());
         }
         let rdb = cdb.to_ranks(&flist);
         let est = estimate_rp_struct_bytes(&rdb);
-        metrics::set_max("storage.budget_high_water", est as u64);
-        if self.budget.fits(est) {
-            hm::mine_source_par(&rdb, &flist, &[], minsup, Parallelism::serial(), sink);
-            return Ok(report);
-        }
-        report.spills += 1;
-        report.max_depth = 1;
-        let mut mgr = SpillManager::new(flist.len())?;
-        for g in 0..rdb.num_groups() {
-            let mut outliers = CsrTuples::new();
-            for o in rdb.group_outliers(g) {
-                outliers.push_row(o);
-            }
-            let rec = SpillRecord::Group {
-                pattern: rdb.group_pattern(g).to_vec(),
-                bare: rdb.group_bare(g),
-                outliers,
-            };
-            project_record(&rec, None, &mut mgr)?;
-        }
-        for t in rdb.plain() {
-            project_record(&SpillRecord::Plain(t.to_vec()), None, &mut mgr)?;
-        }
-        mgr.finish()?;
-        report.disk_bytes += mgr.total_bytes();
-        let mut prefix = Vec::with_capacity(8);
-        for r in 0..flist.len() as u32 {
-            sink.emit(&[flist.item(r)], flist.support(r));
-            prefix.push(flist.item(r));
-            self.mine_partition(&mgr, r, &mut prefix, &flist, minsup, sink, &mut report, 1)?;
-            prefix.pop();
-        }
-        Ok(report)
+        Recursion::new(self.budget, &flist, minsup).run(&rdb, est, sink)
     }
 
     /// Collects into a [`PatternSet`] alongside the report.
@@ -270,197 +144,266 @@ impl LimitedRecycledHMine {
         &self,
         cdb: &CompressedDb,
         min_support: MinSupport,
-    ) -> std::io::Result<(PatternSet, LimitedReport)> {
+    ) -> io::Result<(PatternSet, LimitedReport)> {
         let mut sink = CollectSink::new();
         let report = self.mine_into(cdb, min_support, &mut sink)?;
         Ok((sink.into_set(), report))
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+/// H-Mine over `rdb` in memory, under the item `prefix`. A partition
+/// without groups is mined as plain ranks, the raw engine's substrate.
+fn mine_in_memory(
+    rdb: &CompressedRankDb,
+    flist: &FList,
+    prefix: &[Item],
+    minsup: u64,
+    sink: &mut dyn PatternSink,
+) {
+    let serial = Parallelism::serial();
+    if rdb.num_groups() == 0 {
+        let src = PlainRanks::new(rdb.plain(), flist.len());
+        hm::mine_source_par(&src, flist, prefix, minsup, serial, sink);
+    } else {
+        hm::mine_source_par(rdb, flist, prefix, minsup, serial, sink);
+    }
+}
+
+/// The recursion both drivers share: everything below the root.
+struct Recursion<'a> {
+    budget: MemoryBudget,
+    flist: &'a FList,
+    minsup: u64,
+    report: LimitedReport,
+}
+
+impl<'a> Recursion<'a> {
+    fn new(budget: MemoryBudget, flist: &'a FList, minsup: u64) -> Self {
+        Recursion { budget, flist, minsup, report: LimitedReport::default() }
+    }
+
+    /// Mines the root database, whose in-memory structure is estimated
+    /// at `est` bytes: in memory when that fits, otherwise by parallel
+    /// projection of the root (paper §3.3) and one recursion per rank.
+    fn run(
+        mut self,
+        rdb: &CompressedRankDb,
+        est: usize,
+        sink: &mut dyn PatternSink,
+    ) -> io::Result<LimitedReport> {
+        metrics::set_max("storage.budget_high_water", est as u64);
+        if self.budget.fits(est) {
+            mine_in_memory(rdb, self.flist, &[], self.minsup, sink);
+            return Ok(self.report);
+        }
+        self.report.spills = 1;
+        self.report.max_depth = 1;
+        let ranks = 0..self.flist.len() as u32;
+        let frequent: Vec<(u32, u64)> = ranks.map(|r| (r, self.flist.support(r))).collect();
+        self.descend(&frequent, &mut Vec::new(), sink, 1, |spill| spill.project(rdb))?;
+        Ok(self.report)
+    }
+
+    /// Mines partition `r` of `spill` under `prefix` (which ends with
+    /// `r`'s item): loaded and mined in memory when its estimate fits,
+    /// otherwise projected one level deeper on its locally frequent
+    /// ranks, whose supports the sidecars hold.
     fn mine_partition(
-        &self,
-        mgr: &SpillManager,
+        &mut self,
+        spill: &Spill,
         r: u32,
         prefix: &mut Vec<Item>,
-        flist: &FList,
-        minsup: u64,
         sink: &mut dyn PatternSink,
-        report: &mut LimitedReport,
         depth: usize,
-    ) -> std::io::Result<()> {
-        if mgr.partition_records(r) == 0 {
+    ) -> io::Result<()> {
+        let Some(db) = spill.store(r) else {
+            return Ok(());
+        };
+        let n = self.flist.len();
+        let est = estimate_partition_bytes(&db.shape());
+        metrics::set_max("storage.budget_high_water", est as u64);
+        if self.budget.fits(est) {
+            let mut rdb = db.load_ranks(0, n)?;
+            for i in 1..db.num_segments() {
+                rdb.append(&db.load_ranks(i, n)?);
+            }
+            self.report.loads += 1;
+            mine_in_memory(&rdb, self.flist, prefix, self.minsup, sink);
             return Ok(());
         }
-        metrics::set_max("storage.budget_high_water", mgr.estimated_memory(r) as u64);
-        if self.budget.fits(mgr.estimated_memory(r)) {
-            let mut rdb = CompressedRankDb::empty(flist.len());
-            mgr.for_each_record(r, |rec| match rec {
-                SpillRecord::Plain(v) => rdb.push_plain(&v),
-                SpillRecord::Group { pattern, bare, outliers } => {
-                    rdb.push_group(&pattern, outliers.iter(), bare)
-                }
-            })?;
-            report.loads += 1;
-            hm::mine_source_par(&rdb, flist, prefix, minsup, Parallelism::serial(), sink);
-            return Ok(());
+        self.report.spills += 1;
+        self.report.max_depth = self.report.max_depth.max(depth + 1);
+        let mut keep = vec![false; n];
+        let mut frequent = Vec::new();
+        for (x, c) in db.item_supports()?.into_iter().enumerate().take(n) {
+            keep[x] = c >= self.minsup;
+            if keep[x] {
+                frequent.push((x as u32, c));
+            }
         }
-        report.spills += 1;
-        report.max_depth = report.max_depth.max(depth + 1);
-        // Streaming support count of the partition.
-        let mut counts = vec![0u64; flist.len()];
-        mgr.for_each_record(r, |rec| match rec {
-            SpillRecord::Plain(v) => {
-                for &x in &v {
-                    counts[x as usize] += 1;
-                }
-            }
-            SpillRecord::Group { pattern, bare, outliers } => {
-                let c = bare + outliers.len() as u64;
-                for &x in &pattern {
-                    counts[x as usize] += c;
-                }
-                for &x in outliers.flat() {
-                    counts[x as usize] += 1;
-                }
-            }
-        })?;
-        let frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= minsup)
-            .map(|(x, &c)| (x as u32, c))
-            .collect();
         if frequent.is_empty() {
             return Ok(());
         }
-        let keep: Vec<bool> = counts.iter().map(|&c| c >= minsup).collect();
-        let mut sub = SpillManager::new(flist.len())?;
-        let mut io_err: Option<std::io::Error> = None;
-        mgr.for_each_record(r, |rec| {
-            if io_err.is_none() {
-                if let Err(e) = project_record(&rec, Some(&keep), &mut sub) {
-                    io_err = Some(e);
-                }
+        self.descend(&frequent, prefix, sink, depth + 1, |sub| {
+            for i in 0..db.num_segments() {
+                sub.project(&db.load_ranks(i, n)?.retain_ranks(|x| keep[x as usize]))?;
             }
-        })?;
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        sub.finish()?;
-        report.disk_bytes += sub.total_bytes();
-        for (x, c) in frequent {
-            prefix.push(flist.item(x));
+            Ok(())
+        })
+    }
+
+    /// Writes one spill level with `project`, then emits each
+    /// `(rank, support)` in `frequent` under `prefix` and mines that
+    /// rank's partition at `depth`.
+    fn descend(
+        &mut self,
+        frequent: &[(u32, u64)],
+        prefix: &mut Vec<Item>,
+        sink: &mut dyn PatternSink,
+        depth: usize,
+        project: impl FnOnce(&mut Spill) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut spill = Spill::new(self.flist.len())?;
+        project(&mut spill)?;
+        self.report.disk_bytes += spill.seal()?;
+        for &(x, c) in frequent {
+            prefix.push(self.flist.item(x));
             sink.emit(prefix, c);
-            self.mine_partition(&sub, x, prefix, flist, minsup, sink, report, depth + 1)?;
+            self.mine_partition(&spill, x, prefix, sink, depth)?;
             prefix.pop();
         }
         Ok(())
     }
 }
 
-/// Parallel projection of one record: writes the record's projection
-/// onto *every* rank it contains into `mgr`, optionally filtering items
-/// through `keep` (locally frequent ranks) first.
-fn project_record(
-    rec: &SpillRecord,
-    keep: Option<&[bool]>,
-    mgr: &mut SpillManager,
-) -> std::io::Result<()> {
-    let keeps = |x: u32| keep.is_none_or(|k| k[x as usize]);
-    match rec {
-        SpillRecord::Plain(v) => {
-            let filtered: Vec<u32> = v.iter().copied().filter(|&x| keeps(x)).collect();
-            for i in 0..filtered.len().saturating_sub(1) {
-                mgr.append(filtered[i], &SpillRecord::Plain(filtered[i + 1..].to_vec()))?;
+/// One level of parallel projection: a private temp directory holding
+/// one segment store per rank (files `p{rank}-seg-NNNNNN.ggs`), written
+/// through [`SegmentWriter`]s and, once sealed, read back through
+/// [`SegmentedDb`]s. Removed on drop.
+struct Spill {
+    dir: PathBuf,
+    writers: Vec<Option<SegmentWriter>>,
+    stores: Vec<Option<SegmentedDb>>,
+}
+
+impl Spill {
+    /// An empty level of `num_ranks` partitions under a fresh
+    /// process-private temp directory.
+    fn new(num_ranks: usize) -> io::Result<Self> {
+        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("gogreen-spill-{}-{}", std::process::id(), seq));
+        std::fs::create_dir_all(&dir)?;
+        let writers = (0..num_ranks).map(|_| None).collect();
+        Ok(Spill { dir, writers, stores: Vec::new() })
+    }
+
+    /// Partition `r`'s writer, created on its first record.
+    fn writer(&mut self, r: u32) -> &mut SegmentWriter {
+        self.writers[r as usize].get_or_insert_with(|| {
+            SegmentWriter::fresh(self.dir.clone(), format!("p{r}-"), PARTITION_SEGMENT_BYTES)
+        })
+    }
+
+    /// Seals every partition and opens it for reading; returns the
+    /// segment bytes written.
+    fn seal(&mut self) -> io::Result<u64> {
+        let mut bytes = 0;
+        for slot in &mut self.writers {
+            let store = match slot.take() {
+                Some(mut w) => {
+                    w.seal()?;
+                    bytes += w.bytes_written();
+                    Some(w.into_db()?)
+                }
+                None => None,
+            };
+            self.stores.push(store);
+        }
+        Ok(bytes)
+    }
+
+    /// The sealed store of partition `r`; `None` when nothing was
+    /// projected onto `r`.
+    fn store(&self, r: u32) -> Option<&SegmentedDb> {
+        self.stores[r as usize].as_ref()
+    }
+
+    /// Parallel projection of `rdb`: writes each group and row onto
+    /// *every* rank it holds.
+    fn project(&mut self, rdb: &CompressedRankDb) -> io::Result<()> {
+        for g in 0..rdb.num_groups() {
+            self.project_group(rdb.group_pattern(g), rdb.group_outliers(g), rdb.group_bare(g))?;
+        }
+        for t in rdb.plain() {
+            for (i, &r) in t[..t.len() - 1].iter().enumerate() {
+                self.writer(r).push_row(&t[i + 1..])?;
             }
         }
-        SpillRecord::Group { pattern, bare, outliers } => {
-            let pattern_f: Vec<u32> = pattern.iter().copied().filter(|&x| keeps(x)).collect();
-            // Filter each member's outliers into one CSR slab; members
-            // whose lists empty out fold straight into the bare count
-            // (every surviving row is non-empty by construction).
-            let mut outliers_f: CsrTuples<u32> = CsrTuples::new();
-            let mut base_bare = *bare;
+        Ok(())
+    }
+
+    /// Projects one group. On a pattern rank the whole group follows, on
+    /// an outlier rank only the members holding it; either way the
+    /// followers carry the pattern and their outlier rows past that
+    /// rank, as ONE group per partition — the pattern is written once
+    /// per (partition, group), not once per member.
+    fn project_group(
+        &mut self,
+        pattern: &[u32],
+        outliers: TupleSlices<'_>,
+        bare: u64,
+    ) -> io::Result<()> {
+        for (k, &p) in pattern.iter().enumerate() {
+            let mut followers = (bare, CsrTuples::new());
             for o in outliers.iter() {
-                for &x in o {
-                    if keeps(x) {
-                        outliers_f.push_elem(x);
-                    }
-                }
-                if outliers_f.open_len() > 0 {
-                    outliers_f.commit_row();
-                } else {
-                    base_bare += 1;
+                match o.partition_point(|&x| x <= p) {
+                    cut if cut < o.len() => followers.1.push_row(&o[cut..]),
+                    _ => followers.0 += 1,
                 }
             }
-            // Projections on pattern items: the whole group follows.
-            for (k, &p) in pattern_f.iter().enumerate() {
-                let residual = pattern_f[k + 1..].to_vec();
-                if residual.is_empty() {
-                    for o in outliers_f.iter() {
-                        let cut = o.partition_point(|&x| x <= p);
-                        if cut < o.len() {
-                            mgr.append(p, &SpillRecord::Plain(o[cut..].to_vec()))?;
-                        }
-                    }
-                } else {
-                    let mut g_bare = base_bare;
-                    let mut g_outliers: CsrTuples<u32> = CsrTuples::new();
-                    for o in outliers_f.iter() {
-                        let cut = o.partition_point(|&x| x <= p);
-                        if cut < o.len() {
-                            g_outliers.push_row(&o[cut..]);
-                        } else {
-                            g_bare += 1;
-                        }
-                    }
-                    mgr.append(
-                        p,
-                        &SpillRecord::Group {
-                            pattern: residual,
-                            bare: g_bare,
-                            outliers: g_outliers,
-                        },
-                    )?;
+            self.push_followers(p, &pattern[k + 1..], followers)?;
+        }
+        let mut by_rank: FxHashMap<u32, (u64, CsrTuples<u32>)> = FxHashMap::default();
+        for o in outliers.iter() {
+            for (j, &x) in o.iter().enumerate() {
+                let slot = by_rank.entry(x).or_default();
+                match &o[j + 1..] {
+                    [] => slot.0 += 1,
+                    rest => slot.1.push_row(rest),
                 }
             }
-            // Projections on outlier items: only the members holding the
-            // item follow, carrying the residual pattern. Members of the
-            // same group are aggregated into ONE record per partition so
-            // the pattern is written once per (partition, group) — not
-            // once per member occurrence, which would balloon the spill.
-            let mut by_rank: FxHashMap<u32, (u64, CsrTuples<u32>)> = FxHashMap::default();
-            for o in outliers_f.iter() {
-                for (j, &x) in o.iter().enumerate() {
-                    let slot = by_rank.entry(x).or_default();
-                    let rest = &o[j + 1..];
-                    if rest.is_empty() {
-                        slot.0 += 1;
-                    } else {
-                        slot.1.push_row(rest);
-                    }
-                }
-            }
-            let mut ranks: Vec<u32> = by_rank.keys().copied().collect();
-            ranks.sort_unstable();
-            for x in ranks {
-                let (bare, members) = by_rank.remove(&x).expect("collected above");
-                let cut = pattern_f.partition_point(|&p| p <= x);
-                let residual = pattern_f[cut..].to_vec();
-                if residual.is_empty() {
-                    for rest in members.iter() {
-                        mgr.append(x, &SpillRecord::Plain(rest.to_vec()))?;
-                    }
-                } else {
-                    mgr.append(
-                        x,
-                        &SpillRecord::Group { pattern: residual, bare, outliers: members },
-                    )?;
-                }
-            }
+        }
+        let mut ranks: Vec<u32> = by_rank.keys().copied().collect();
+        ranks.sort_unstable();
+        for x in ranks {
+            let followers = by_rank.remove(&x).expect("collected above");
+            self.push_followers(x, &pattern[pattern.partition_point(|&p| p <= x)..], followers)?;
+        }
+        Ok(())
+    }
+
+    /// Writes a group's followers on rank `r`: a group over the
+    /// `residual` pattern, or plain rows once the pattern is used up
+    /// (bare members then hold nothing past `r`).
+    fn push_followers(
+        &mut self,
+        r: u32,
+        residual: &[u32],
+        (bare, rows): (u64, CsrTuples<u32>),
+    ) -> io::Result<()> {
+        if residual.is_empty() {
+            rows.iter().try_for_each(|row| self.writer(r).push_row(row))
+        } else {
+            self.writer(r).push_group(residual, rows.as_slices(), bare)
         }
     }
-    Ok(())
+}
+
+impl Drop for Spill {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 #[cfg(test)]
@@ -470,103 +413,74 @@ mod tests {
     use gogreen_core::utility::Strategy;
     use gogreen_miners::mine_apriori;
 
-    fn budgets() -> Vec<MemoryBudget> {
-        vec![
-            MemoryBudget::unlimited(),
-            MemoryBudget::bytes(400), // forces one spill level
-            MemoryBudget::bytes(120), // forces nested spills
-        ]
-    }
-
     #[test]
-    fn limited_hmine_exact_under_any_budget() {
-        let db = TransactionDb::paper_example();
-        for budget in budgets() {
-            for minsup in 1..=4 {
-                let (got, report) =
-                    LimitedHMine::new(budget).mine(&db, MinSupport::Absolute(minsup)).unwrap();
-                let want = mine_apriori(&db, MinSupport::Absolute(minsup));
-                assert!(
-                    got.same_patterns_as(&want),
-                    "budget {budget:?} minsup {minsup}: {} vs {} ({report:?})",
-                    got.len(),
-                    want.len()
-                );
+    fn both_drivers_exact_under_any_budget() {
+        // The paper's example, and a database whose compression makes
+        // groups that respills must project group by group. 400 and
+        // 300 bytes force one spill level; 120 and 100 nested ones.
+        let grouped: &[&[u32]] =
+            &[&[1, 2, 3, 4], &[1, 2, 3, 5], &[1, 2, 3], &[1, 2, 3, 4, 5], &[4, 5], &[2, 4, 5]];
+        for db in [
+            TransactionDb::paper_example(),
+            TransactionDb::from_rows(grouped),
+            TransactionDb::new(),
+        ] {
+            let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
+            let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
+            for bytes in [usize::MAX, 400, 300, 120, 100] {
+                let budget = MemoryBudget::bytes(bytes);
+                for minsup in 1..=4 {
+                    let xi = MinSupport::Absolute(minsup);
+                    let want = mine_apriori(&db, xi);
+                    let (hm, _) = LimitedHMine::new(budget).mine(&db, xi).unwrap();
+                    let (rec, _) = LimitedRecycledHMine::new(budget).mine(&cdb, xi).unwrap();
+                    assert!(hm.same_patterns_as(&want), "H-Mine @ {bytes} B, ξ {minsup}");
+                    assert!(rec.same_patterns_as(&want), "HM-MCP @ {bytes} B, ξ {minsup}");
+                }
             }
         }
     }
 
     #[test]
-    fn limited_recycle_hm_exact_under_any_budget() {
+    fn reports_count_spills_only_under_pressure() {
         let db = TransactionDb::paper_example();
-        let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
-        let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        for budget in budgets() {
-            for minsup in 1..=4 {
-                let (got, report) = LimitedRecycledHMine::new(budget)
-                    .mine(&cdb, MinSupport::Absolute(minsup))
-                    .unwrap();
-                let want = mine_apriori(&db, MinSupport::Absolute(minsup));
-                assert!(
-                    got.same_patterns_as(&want),
-                    "budget {budget:?} minsup {minsup}: {} vs {} ({report:?})",
-                    got.len(),
-                    want.len()
-                );
-            }
+        let mine = |bytes| {
+            LimitedHMine::new(MemoryBudget::bytes(bytes)).mine(&db, MinSupport::Absolute(2))
+        };
+        assert_eq!(mine(usize::MAX).unwrap().1, LimitedReport::default());
+        let report = mine(64).unwrap().1;
+        assert!(report.spills >= 1 && report.disk_bytes > 0 && report.max_depth >= 1, "{report:?}");
+    }
+
+    #[test]
+    fn spill_levels_are_per_rank_segment_stores() {
+        // One group over ranks {0, 2} with an outlier row [3], then
+        // 100k rows [0, k] whose projections onto rank 0 overflow three
+        // 256 KiB segments; nothing follows a row's last rank.
+        let ranks = 1001;
+        let mut rdb = CompressedRankDb::empty(ranks);
+        rdb.push_group(&[0, 2], [&[3u32][..]], 1);
+        for k in 0..100_000u32 {
+            rdb.push_plain(&[0, 1 + k % 1000]);
         }
-    }
-
-    #[test]
-    fn unlimited_budget_never_spills() {
-        let db = TransactionDb::paper_example();
-        let (_, report) = LimitedHMine::new(MemoryBudget::unlimited())
-            .mine(&db, MinSupport::Absolute(2))
-            .unwrap();
-        assert_eq!(report, LimitedReport::default());
-    }
-
-    #[test]
-    fn tight_budget_reports_spills_and_disk_traffic() {
-        let db = TransactionDb::paper_example();
-        let (_, report) =
-            LimitedHMine::new(MemoryBudget::bytes(64)).mine(&db, MinSupport::Absolute(2)).unwrap();
-        assert!(report.spills >= 1);
-        assert!(report.disk_bytes > 0);
-        assert!(report.max_depth >= 1);
-    }
-
-    #[test]
-    fn spilled_groups_preserve_structure() {
-        // A compressed DB whose spill produces group records; nested
-        // budget forces the group-projection code paths.
-        let db = TransactionDb::from_rows(&[
-            &[1, 2, 3, 4],
-            &[1, 2, 3, 5],
-            &[1, 2, 3],
-            &[1, 2, 3, 4, 5],
-            &[4, 5],
-            &[2, 4, 5],
-        ]);
-        let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
-        let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        assert!(!cdb.groups().is_empty());
-        for budget in [MemoryBudget::bytes(300), MemoryBudget::bytes(100)] {
-            for minsup in 1..=3 {
-                let (got, _) = LimitedRecycledHMine::new(budget)
-                    .mine(&cdb, MinSupport::Absolute(minsup))
-                    .unwrap();
-                let want = mine_apriori(&db, MinSupport::Absolute(minsup));
-                assert!(got.same_patterns_as(&want), "budget {budget:?} minsup {minsup}");
-            }
+        let mut spill = Spill::new(ranks).unwrap();
+        spill.project(&rdb).unwrap();
+        assert!(spill.seal().unwrap() > 0);
+        let db = spill.store(0).unwrap();
+        assert!(db.num_segments() >= 3, "{} segments", db.num_segments());
+        let mut got = CompressedRankDb::empty(ranks);
+        for i in 0..db.num_segments() {
+            got.append(&db.load_ranks(i, ranks).unwrap());
         }
-    }
-
-    #[test]
-    fn empty_database() {
-        let db = TransactionDb::new();
-        let (got, _) =
-            LimitedHMine::new(MemoryBudget::bytes(10)).mine(&db, MinSupport::Absolute(1)).unwrap();
-        assert!(got.is_empty());
+        // Rank 0 keeps the group under its residual pattern [2].
+        assert_eq!((got.group_pattern(0), got.group_bare(0), got.num_groups()), (&[2][..], 1, 1));
+        assert!(got.plain().iter().enumerate().all(|(k, t)| t == [1 + k as u32 % 1000]));
+        // Rank 2 used the pattern up: the outlier suffix goes plain.
+        let two = spill.store(2).unwrap().load_ranks(0, ranks).unwrap();
+        assert_eq!((two.num_groups(), two.plain().row(0)), (0, &[3][..]));
+        assert!(spill.store(3).is_none());
+        let dir = spill.dir.clone();
+        drop(spill);
+        assert!(!dir.exists(), "the spill directory outlives its level");
     }
 }

@@ -24,13 +24,15 @@
 //! database bit for bit, whichever encoding landed on disk.
 //!
 //! Files are `v-NNNN.ggd` under the store directory: a 16-byte header
-//! (magic `"GGDV"`, format version, kind, payload CRC-32) followed by
-//! the payload. Deltas are in *item* space (not rank space): the F-list
+//! (magic `"GGDV"`, format version 2, kind, CRC-32) followed by the
+//! payload. The CRC covers the header fields too, so a flipped `kind`
+//! is an `Err` like any other flip; decoding checks each group against
+//! what [`Group::from_csr`] assumes. Deltas are in *item* space (not
+//! rank space): the F-list
 //! changes between rounds, so rank encodings of different versions are
 //! not comparable, while item space is stable.
 
-use crate::codec::{get_list, put_list, ByteReader, DecodeError};
-use crate::crc::crc32;
+use crate::crc::crc32_parts;
 use gogreen_core::cdb::{CompressedDb, Group};
 use gogreen_data::{CsrTuples, Item};
 use gogreen_obs::metrics;
@@ -40,17 +42,104 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"GGDV";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 const KIND_FULL: u32 = 0;
 const KIND_DELTA: u32 = 1;
 const HEADER_BYTES: usize = 16;
+/// Offset of the CRC, which covers the header bytes before it and then
+/// the payload.
+const CRC_AT: usize = 12;
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn decode_err(path: &Path, e: DecodeError) -> io::Error {
-    bad_data(format!("{}: {e}", path.display()))
+/// Decodes a whole payload with `decode`; bytes left over are an error.
+fn decode_payload<T>(
+    path: &Path,
+    payload: &[u8],
+    decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, DecodeError>,
+) -> io::Result<T> {
+    let mut r = ByteReader { data: payload, pos: 0 };
+    let value = decode(&mut r).map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
+    if r.pos < payload.len() {
+        return Err(bad_data(format!(
+            "{}: {} trailing payload bytes",
+            path.display(),
+            payload.len() - r.pos
+        )));
+    }
+    Ok(value)
+}
+
+/// Why a version payload failed to decode.
+#[derive(Debug)]
+enum DecodeError {
+    /// The payload ended mid-field: `needed` more bytes at `offset`.
+    Truncated { offset: usize, needed: usize },
+    /// An unknown plain-op tag at `offset`.
+    BadTag { offset: usize, tag: u8 },
+    /// A structurally invalid value at `offset`.
+    Malformed { offset: usize, what: &'static str },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated { offset, needed } => {
+                write!(f, "payload truncated at byte {offset} (needed {needed} more bytes)")
+            }
+            DecodeError::BadTag { offset, tag } => {
+                write!(f, "corrupt plain-op tag {tag} at byte {offset}")
+            }
+            DecodeError::Malformed { offset, what } => write!(f, "{what} at byte {offset}"),
+        }
+    }
+}
+
+/// A forward-only cursor over a payload.
+struct ByteReader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.data.len() - self.pos < n {
+            return Err(DecodeError::Truncated { offset: self.pos, needed: n });
+        }
+        let raw = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(raw)
+    }
+
+    fn get_u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn get_u32_le(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn get_u64_le(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+}
+
+/// Writes a `u32` length prefix and then the list.
+fn put_list(buf: &mut Vec<u8>, items: &[u32]) {
+    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for &x in items {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Reads a list written by [`put_list`]; the whole list must be present
+/// before anything is allocated for it.
+fn get_list(r: &mut ByteReader<'_>) -> Result<Vec<u32>, DecodeError> {
+    let n = r.get_u32_le()? as usize;
+    let raw = r.take(n * 4)?;
+    Ok(raw.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
 }
 
 fn version_file_name(v: usize) -> String {
@@ -102,19 +191,30 @@ fn put_group(buf: &mut Vec<u8>, g: &Group) {
     }
 }
 
+/// Reads a group written by [`put_group`], checking what
+/// [`Group::from_csr`] requires of it.
 fn get_group(r: &mut ByteReader<'_>) -> Result<Group, DecodeError> {
-    let pattern = ids_to_items(&get_list(r)?);
+    let at = r.pos;
+    let ascending = |ids: &[u32]| !ids.is_empty() && ids.windows(2).all(|w| w[0] < w[1]);
+    let pattern = get_list(r)?;
+    if !ascending(&pattern) {
+        return Err(DecodeError::Malformed { offset: at, what: "empty or unsorted group pattern" });
+    }
     let bare = r.get_u32_le()?;
     let n = r.get_u32_le()? as usize;
     let mut outliers: CsrTuples<Item> = CsrTuples::new();
     for _ in 0..n {
-        let m = r.get_u32_le()? as usize;
-        for _ in 0..m {
-            outliers.push_elem(Item(r.get_u32_le()?));
+        let at = r.pos;
+        let row = get_list(r)?;
+        if !ascending(&row) || row.iter().any(|x| pattern.binary_search(x).is_ok()) {
+            return Err(DecodeError::Malformed {
+                offset: at,
+                what: "empty, unsorted or pattern-overlapping outlier row",
+            });
         }
-        outliers.commit_row();
+        outliers.push_row(&ids_to_items(&row));
     }
-    Ok(Group::from_csr(pattern, outliers, bare))
+    Ok(Group::from_csr(ids_to_items(&pattern), outliers, bare))
 }
 
 fn encode_full(cdb: &CompressedDb) -> Vec<u8> {
@@ -137,18 +237,14 @@ fn encode_full(cdb: &CompressedDb) -> Vec<u8> {
 fn decode_full(r: &mut ByteReader<'_>) -> Result<CompressedDb, DecodeError> {
     let original_items = r.get_u64_le()? as usize;
     let n_groups = r.get_u32_le()? as usize;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = Vec::new();
     for _ in 0..n_groups {
         groups.push(get_group(r)?);
     }
     let n_plain = r.get_u32_le()? as usize;
     let mut plain: CsrTuples<Item> = CsrTuples::new();
     for _ in 0..n_plain {
-        let m = r.get_u32_le()? as usize;
-        for _ in 0..m {
-            plain.push_elem(Item(r.get_u32_le()?));
-        }
-        plain.commit_row();
+        plain.push_row(&ids_to_items(&get_list(r)?));
     }
     Ok(CompressedDb::new(groups, plain, original_items))
 }
@@ -185,18 +281,18 @@ fn encode_delta(d: &Delta) -> Vec<u8> {
 fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, DecodeError> {
     let original_items = r.get_u64_le()?;
     let n_removed = r.get_u32_le()? as usize;
-    let mut removed = Vec::with_capacity(n_removed);
+    let mut removed = Vec::new();
     for _ in 0..n_removed {
         removed.push(get_list(r)?);
     }
     let n_added = r.get_u32_le()? as usize;
-    let mut added = Vec::with_capacity(n_added);
+    let mut added = Vec::new();
     for _ in 0..n_added {
         let pos = r.get_u32_le()?;
         added.push((pos, get_group(r)?));
     }
     let n_ops = r.get_u32_le()? as usize;
-    let mut plain_ops = Vec::with_capacity(n_ops);
+    let mut plain_ops = Vec::new();
     for _ in 0..n_ops {
         match r.get_u8()? {
             0 => {
@@ -307,7 +403,8 @@ fn write_version_file(path: &Path, kind: u32, payload: &[u8]) -> io::Result<u64>
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&kind.to_le_bytes());
-    header.extend_from_slice(&crc32(payload).to_le_bytes());
+    let crc = crc32_parts(&[&header, payload]);
+    header.extend_from_slice(&crc.to_le_bytes());
     let mut f = File::create(path)?;
     f.write_all(&header)?;
     f.write_all(payload)?;
@@ -331,12 +428,12 @@ fn read_version_file(path: &Path) -> io::Result<(u32, Vec<u8>)> {
         )));
     }
     let kind = word(8);
-    let stored = word(12);
+    let stored = word(CRC_AT);
     let payload = bytes.split_off(HEADER_BYTES);
-    let computed = crc32(&payload);
+    let computed = crc32_parts(&[&bytes[..CRC_AT], &payload]);
     if stored != computed {
         return Err(bad_data(format!(
-            "{}: payload checksum mismatch (stored {stored:#010x}, computed {computed:#010x})",
+            "{}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x})",
             path.display()
         )));
     }
@@ -372,11 +469,10 @@ impl VersionStore {
                 )));
             }
             let (kind, payload) = read_version_file(&path)?;
-            let mut r = ByteReader::new(&payload);
             current = Some(match kind {
-                KIND_FULL => decode_full(&mut r).map_err(|e| decode_err(&path, e))?,
+                KIND_FULL => decode_payload(&path, &payload, decode_full)?,
                 KIND_DELTA => {
-                    let delta = decode_delta(&mut r).map_err(|e| decode_err(&path, e))?;
+                    let delta = decode_payload(&path, &payload, decode_delta)?;
                     let prev = current.ok_or_else(|| {
                         bad_data(format!("{}: delta with no predecessor", path.display()))
                     })?;
@@ -505,17 +601,45 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_version_payload_is_rejected() {
-        let dir = temp_dir("corrupt");
+    fn flipped_kind_is_an_error_not_a_panic() {
+        let dir = temp_dir("kind");
         let mut store = VersionStore::open(&dir).unwrap();
-        store.push(&paper_cdb(3)).unwrap();
-        let path = dir.join(version_file_name(0));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = VersionStore::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        for minsup in [4, 3, 2] {
+            store.push(&paper_cdb(minsup)).unwrap();
+        }
+        for v in [0, 1] {
+            let path = dir.join(version_file_name(v));
+            let clean = std::fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            bytes[8] ^= 0x01; // full <-> delta
+            std::fs::write(&path, &bytes).unwrap();
+            let err = VersionStore::open(&dir).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "v-{v:04}: {err}");
+            std::fs::write(&path, &clean).unwrap();
+        }
+        assert_eq!(VersionStore::open(&dir).unwrap().current(), Some(&paper_cdb(2)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn malformed_group_is_a_decode_error() {
+        // Full payloads under a valid checksum whose one group breaks
+        // what `Group::from_csr` asserts. Words after the item total:
+        // groups, pattern list, bare, outlier rows (lists), plain rows.
+        let dir = temp_dir("malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cases: [&[u32]; 3] = [
+            &[1, 0, 1, 0, 0],                // an empty pattern
+            &[1, 2, 3, 1, 1, 0, 0],          // an unsorted pattern
+            &[1, 2, 1, 3, 1, 1, 2, 3, 4, 0], // an outlier row overlapping it
+        ];
+        for words in cases {
+            let mut payload = 10u64.to_le_bytes().to_vec();
+            words.iter().for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+            write_version_file(&dir.join(version_file_name(0)), KIND_FULL, &payload).unwrap();
+            let err = VersionStore::open(&dir).unwrap_err().to_string();
+            assert!(err.contains("group pattern") || err.contains("outlier row"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

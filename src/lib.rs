@@ -19,7 +19,8 @@
 //! * [`core`] — the paper's contribution: MCP/MLP compression, compressed
 //!   databases as engine inputs, the RP-Mine reference, and the
 //!   iterative [`core::session::MiningSession`].
-//! * [`storage`] — memory budgets, disk spill, and memory-limited mining.
+//! * [`storage`] — memory budgets, segment and version files, and
+//!   memory-limited mining that spills partitions as segment stores.
 //! * [`obs`] — tracing spans and mining counters (`--trace-out` /
 //!   `--metrics-out` in the CLI); the counters quantify the candidate
 //!   tests and projections recycling saves.

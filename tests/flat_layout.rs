@@ -3,17 +3,18 @@
 //! *byte-identical* pattern stream over every substrate view — raw,
 //! MCP-compressed, MLP-compressed — at any thread count, and the
 //! `mine.*` / `alloc.*` counters must be bit-identical between thread
-//! counts. The spill codec's CSR group records must survive an
-//! encode/decode round-trip and fail loudly on corrupt bytes.
+//! counts. A segment's CSR group section must survive a write/read
+//! round trip.
 //!
 //! The metrics registry is process-global, so every test that mines
 //! holds `TEST_LOCK` for its whole body: an unlocked run would land its
 //! counts in another test's enabled registry.
 
+use gogreen::core::cdb::CompressedRankDb;
 use gogreen::data::FnSink;
 use gogreen::obs::metrics;
 use gogreen::prelude::*;
-use gogreen::storage::codec::{ByteReader, DecodeError, SpillRecord};
+use gogreen::storage::{SegmentWriter, SegmentedDb};
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::Mutex;
@@ -152,44 +153,36 @@ fn csr(rows: &[&[u32]]) -> CsrTuples<u32> {
     c
 }
 
-/// Spill records with CSR outlier slabs survive an encode/decode
-/// round-trip in a mixed stream.
+/// A grouped segment — plain rank rows plus CSR groups, as a spilled
+/// partition stores them — reads back as the same rank database, with
+/// sidecar supports that count each group's members once per pattern
+/// rank.
 #[test]
-fn spill_codec_round_trips_csr_groups() {
-    let records = vec![
-        SpillRecord::Plain(vec![1, 4, 9]),
-        SpillRecord::Group { pattern: vec![2, 5], bare: 3, outliers: csr(&[&[6], &[7, 8]]) },
-        SpillRecord::Group { pattern: vec![0], bare: 0, outliers: CsrTuples::new() },
-        SpillRecord::Plain(vec![0]),
-    ];
-    let mut buf = Vec::new();
-    for r in &records {
-        r.encode(&mut buf);
+fn segment_round_trips_csr_groups() {
+    let dir = std::env::temp_dir().join(format!("gogreen-flat-groups-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let groups: [(&[u32], CsrTuples<u32>, u64); 2] =
+        [(&[2, 5], csr(&[&[6], &[7, 8]]), 3), (&[0], CsrTuples::new(), 0)];
+    let plain: [&[u32]; 2] = [&[1, 4, 9], &[0]];
+    let mut want = CompressedRankDb::empty(10);
+    let mut w = SegmentWriter::create(&dir, 1 << 20).unwrap();
+    for (pattern, outliers, bare) in &groups {
+        w.push_group(pattern, outliers.as_slices(), *bare).unwrap();
+        want.push_group(pattern, outliers.iter(), *bare);
     }
-    let mut reader = ByteReader::new(&buf);
-    let mut back = Vec::new();
-    while let Some(r) = SpillRecord::decode(&mut reader).expect("clean buffer decodes") {
-        back.push(r);
+    for row in plain {
+        w.push_row(row).unwrap();
+        want.push_plain(row);
     }
-    assert_eq!(back, records);
-}
-
-/// Corruption surfaces as a structured error, never a panic or a
-/// silently wrong record: bad tags, and truncation at every byte.
-#[test]
-fn spill_codec_rejects_corruption() {
-    let mut buf = Vec::new();
-    SpillRecord::Group { pattern: vec![3], bare: 2, outliers: csr(&[&[5, 6], &[7]]) }
-        .encode(&mut buf);
-    // Every proper prefix is a truncation error.
-    for cut in 1..buf.len() {
-        let mut b = ByteReader::new(&buf[..cut]);
-        let got = SpillRecord::decode(&mut b);
-        assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
-    }
-    // A flipped tag byte is a BadTag at its offset.
-    let mut bad = buf.clone();
-    bad[0] = 0xEE;
-    let mut b = ByteReader::new(&bad);
-    assert_eq!(SpillRecord::decode(&mut b), Err(DecodeError::BadTag { offset: 0, tag: 0xEE }));
+    assert_eq!(w.finish().unwrap(), 1);
+    let db = SegmentedDb::open(&dir).unwrap();
+    assert_eq!(db.load_ranks(0, 10).unwrap(), want);
+    // Rank 2 and 5: the first group's 5 members; 6, 7, 8: one outlier
+    // row each; the empty second group adds nothing to rank 0.
+    assert_eq!(db.item_supports().unwrap(), vec![1, 1, 5, 0, 1, 5, 1, 1, 1, 1]);
+    let shape = db.shape();
+    assert_eq!((shape.rows, shape.groups, shape.outlier_rows), (2, 2, 2));
+    // A grouped segment is not a plain database.
+    assert!(db.load(0).is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
